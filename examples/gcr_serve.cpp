@@ -40,12 +40,14 @@
 // ROUTE reuses the session's prebuilt obstacle index and escape lines, and
 // `REROUTE <session> nets=a,b` rips the named nets out of a full
 // sequential pass and re-routes them against the committed remainder
-// (incremental halo removal, no environment rebuild).  In TCP mode cold
-// LOADs build on the worker pool, so one giant layout upload cannot stall
-// the other connections.  With --reactors N the kernel shards accepted
-// connections across N independent epoll loops; all of them feed one
-// worker pool through the weighted-fair queue, so responses are
-// byte-identical to the single-reactor build.  SIGINT/SIGTERM shut down
+// (incremental halo removal, no environment rebuild).  Every transport
+// frames its input with net::FrameParser and executes it through the one
+// verb dispatcher (serve/dispatch.hpp), so all of them answer with the
+// same bytes; cold LOADs and GENs build on the worker pool, so one giant
+// layout upload cannot stall the other TCP connections.  With --reactors N
+// the kernel shards accepted connections across N independent epoll
+// loops; all of them feed one worker pool through the weighted-fair queue,
+// so responses are byte-identical to the single-reactor build.  SIGINT/SIGTERM shut down
 // gracefully: every listener closes, in-flight jobs drain and flush, and
 // the loop threads join as a barrier before the final pin snapshots are
 // written (a second signal force-closes lingering connections).

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -116,16 +117,16 @@ class Connection {
   }
 
   // ---------------------------------- lifecycle flags (event-loop owned)
-  bool eof = false;                ///< peer finished sending (read got 0)
-  bool quit = false;               ///< QUIT seen: stop serving commands
-  bool close_after_flush = false;  ///< close once drained
-  bool reads_suspended = false;    ///< EPOLLIN currently off
-  /// A cold LOAD is building on the worker pool.  Commands behind it park
-  /// in `deferred` until its completion lands: a pipelined `LOAD …\nROUTE`
-  /// burst must see the session resolvable at the ROUTE's admission, which
-  /// the old loop-thread-inline LOAD guaranteed for free and the offloaded
-  /// path must earn with this barrier.
-  bool load_inflight = false;
+  bool eof = false;  ///< peer finished sending (read got 0)
+  /// QUIT or a fatal framing error: serve no further commands, close once
+  /// drained.
+  bool close_after_flush = false;
+  bool reads_suspended = false;  ///< EPOLLIN currently off
+  /// Ticket of the queued LOAD/GEN (serve::DispatchResult::barrier) still
+  /// building on the worker pool.  Commands behind it park in `deferred`
+  /// until its completion lands: a pipelined `LOAD …\nROUTE` burst must see
+  /// the session resolvable at the ROUTE's admission.
+  std::optional<std::uint64_t> barrier;
   std::uint32_t registered_events = 0;  ///< epoll interest as last set
 
   /// Commands parsed but not yet dispatched: when one recv batch carries

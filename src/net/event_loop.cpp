@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/protocol.hpp"
+#include "serve/dispatch.hpp"
 
 #if defined(__linux__)
 #include <sys/epoll.h>
@@ -53,10 +53,6 @@ struct EventLoop::Mailbox {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     std::string frame;
-    /// This completion finishes the connection's offloaded LOAD: drop the
-    /// dispatch barrier so parked commands replay (see
-    /// Connection::load_inflight).
-    bool load = false;
     /// A progress chunk (an OPTIMIZE `PASS` line), not the final response:
     /// the ticket stays open — no in-flight decrement, no barrier drop —
     /// and the bytes stream through Connection::progress.  Workers post
@@ -267,7 +263,7 @@ void EventLoop::drain_mailbox() {
       continue;
     }
     conn.job_completed();
-    if (c.load) conn.load_inflight = false;  // barrier down: deferred replay
+    if (conn.barrier == c.seq) conn.barrier.reset();  // parked commands replay
     conn.complete(c.seq, std::move(c.frame));
     settle(c.conn_id);
   }
@@ -290,7 +286,7 @@ void EventLoop::handle_readable(std::uint64_t id) {
       events.clear();
       conn.parser().feed(buf, static_cast<std::size_t>(r), events);
       process_events(conn, events);
-      if (conn.quit || conn.close_after_flush || conn.parser().dead()) {
+      if (conn.close_after_flush || conn.parser().dead()) {
         conn.reads_suspended = true;  // no further commands will be served
         break;
       }
@@ -300,8 +296,8 @@ void EventLoop::handle_readable(std::uint64_t id) {
     if (r == 0) {
       // Peer finished sending.  Possibly a half-close: keep flushing what
       // it is still owed; settle() closes once drained.  The parser may
-      // hold a trailing LF-less command line — the blocking front-end
-      // serves those, so flush and dispatch it for parity.
+      // hold a trailing LF-less command line or a truncated LOAD, answered
+      // exactly as serve_connection answers them.
       conn.eof = true;
       conn.reads_suspended = true;
       events.clear();
@@ -323,15 +319,15 @@ void EventLoop::process_events(Connection& conn,
                                std::size_t from) {
   for (std::size_t i = from; i < events.size(); ++i) {
     // Commands after QUIT or a fatal framing error are never served.
-    if (conn.quit || conn.close_after_flush) break;
+    if (conn.close_after_flush) break;
     const bool backpressured = conn.backlog() > opts_.write_high_water ||
                                conn.inflight() >= opts_.max_inflight;
-    if (backpressured || conn.load_inflight) {
+    if (backpressured || conn.barrier) {
       // One recv batch of cheap commands can outrun the write marks all
       // by itself, and fail-fast ROUTE responses park in the mailbox
       // where the byte marks cannot see them; park the surplus so both
-      // bounds hold even against a single pipelined burst.  An offloaded
-      // LOAD parks everything behind it too (the ordering barrier) —
+      // bounds hold even against a single pipelined burst.  A queued
+      // LOAD/GEN parks everything behind it too (the ordering barrier) —
       // that is sequencing, not a slow reader, so it skips the
       // backpressure stat.
       stats_.parked.fetch_add(events.size() - i, std::memory_order_relaxed);
@@ -351,258 +347,30 @@ void EventLoop::process_events(Connection& conn,
 }
 
 void EventLoop::dispatch(Connection& conn, FrameParser::Event& ev) {
-  if (ev.kind != FrameParser::EventKind::kCommand) {
-    stats_.commands.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t err_seq = conn.assign_seq();
-    conn.complete(err_seq, serve::format_err(ev.error));
-    if (ev.kind == FrameParser::EventKind::kFatal) {
-      conn.close_after_flush = true;
-      conn.deferred.clear();
-    }
-    return;
-  }
-
-  // Classify before taking a response ticket: an unanswered ticket would
-  // wedge the connection's in-order flush pipeline forever, so a line that
-  // produces no response (blank — the parser filters these, defensive)
-  // must not consume one.
-  const serve::ClassifiedCommand cmd = serve::classify_command(ev.line);
-  if (cmd.kind == serve::CommandKind::kBlank) return;
   stats_.commands.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t seq = conn.assign_seq();
-  // span_parse_us origin: dispatch -> submit covers this front-end's knob
-  // validation and request lowering (a parked command's queueing shows up
-  // in the loop counters, not in its parse span).
-  const auto received = std::chrono::steady_clock::now();
-
-  switch (cmd.kind) {
-    case serve::CommandKind::kBlank:
-      return;  // unreachable; handled above
-    case serve::CommandKind::kQuit:
-      conn.complete(seq, serve::format_ok("bye", ""));
-      conn.quit = true;
+  // Queued replies are formatted on the worker and post the finished bytes
+  // under this command's ticket; progress lines post as partial
+  // completions, so they stream yet still respect pipelined request order.
+  serve::DispatchResult r = serve::dispatch(
+      service_, ev, conn.cancel_token(), std::chrono::steady_clock::now(),
+      [mailbox = mailbox_, id = conn.id(), seq](std::string frame,
+                                                bool final) {
+        mailbox->post({id, seq, std::move(frame), /*partial=*/!final});
+      });
+  switch (r.kind) {
+    case serve::DispatchResult::Kind::kQueued:
+      conn.job_dispatched();
+      if (r.barrier) conn.barrier = seq;
+      return;
+    case serve::DispatchResult::Kind::kQuit:
       conn.close_after_flush = true;
       conn.deferred.clear();
-      return;
-    case serve::CommandKind::kStats:
-      conn.complete(seq, serve::exec_stats(service_));
-      return;
-    case serve::CommandKind::kHello:
-      // Static capability text straight off the verb table; loop-thread
-      // cheap by construction.
-      conn.complete(seq, serve::format_hello(service_.uptime_s()));
-      return;
-    case serve::CommandKind::kTrace: {
-      // A bounded copy of the slow ring (<= 256 small records): loop-thread
-      // cheap, answered inline like STATS.
-      try {
-        conn.complete(seq, serve::exec_trace(
-                               service_, serve::parse_trace_count(cmd.args)));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-      }
-      return;
-    }
-    case serve::CommandKind::kLoad: {
-      // Repeat LOADs of resident content answer inline: the probe costs
-      // one content hash — O(body bytes), which the loop pays knowingly;
-      // it is orders of magnitude cheaper than the parse + environment
-      // build and is what keeps the common resident case off the queue.
-      // Cold LOADs go to the worker pool (with the already-computed key,
-      // so the body is hashed exactly once) so a cold-session storm
-      // cannot stall the loop thread; the barrier parks this connection's
-      // later commands until the session exists (pipelined LOAD→ROUTE
-      // must still resolve).
-      std::string key;
-      if (const auto cached = service_.sessions().find_content(ev.body, &key)) {
-        conn.complete(seq, serve::format_load_ok(*cached, true));
-        return;
-      }
-      conn.job_dispatched();
-      conn.load_inflight = true;
-      service_.submit_load(
-          std::move(ev.body), std::move(key), conn.cancel_token(),
-          [mailbox = mailbox_, id = conn.id(),
-           seq](serve::LoadResponse resp) {
-            mailbox->post({id, seq, serve::format_load_response(resp),
-                           /*load=*/true});
-          });
-      return;
-    }
-    case serve::CommandKind::kRoute:
-    case serve::CommandKind::kReroute: {
-      serve::RouteCommand rc;
-      try {
-        rc = cmd.kind == serve::CommandKind::kRoute
-                 ? serve::parse_route_command(cmd.args)
-                 : serve::parse_reroute_command(cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      // REROUTE against a pin handle reroutes the pin's own committed
-      // remainder (owner-gated, serialized on the pin's ticket chain)
-      // instead of the shared stateless path.  The registry probe is one
-      // locked map lookup — loop-thread cheap.
-      if (cmd.kind == serve::CommandKind::kReroute &&
-          service_.pins().find(rc.session_key) != nullptr) {
-        serve::PinRequest preq;
-        preq.op = serve::PinRequest::Op::kReroute;
-        preq.key = rc.session_key;
-        preq.nets = rc.nets;
-        preq.wire_halo = rc.opts.wire_halo;
-        preq.owner = conn.cancel_token();
-        conn.job_dispatched();
-        service_.submit_pin(
-            std::move(preq),
-            [mailbox = mailbox_, id = conn.id(),
-             seq](serve::PinResponse resp) {
-              mailbox->post({id, seq,
-                             serve::format_pin_response(
-                                 resp, serve::PinRequest::Op::kReroute)});
-            });
-        return;
-      }
-      serve::RouteRequest req = serve::to_request(rc);
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      conn.job_dispatched();
-      // The callback runs on a worker thread (or inline for fail-fast
-      // statuses): format there — route dumps are the expensive part of a
-      // response and must stay off the loop — then post the finished bytes.
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post({id, seq,
-                                       serve::format_route_response(resp)});
-                      });
-      return;
-    }
-    case serve::CommandKind::kOptimize: {
-      serve::RouteRequest req;
-      try {
-        req = serve::to_request(serve::parse_optimize_command(cmd.args));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      // Progress lines post as partial completions under the same ticket:
-      // they stream to the client as passes finish, yet still respect
-      // pipelined request order — an OPTIMIZE behind a slow ROUTE parks
-      // its PASS lines with the ticket until the ROUTE's frame flushes.
-      req.progress = [mailbox = mailbox_, id = conn.id(),
-                      seq](const route::OptimizePassStats& stats) {
-        mailbox->post({id, seq, serve::format_pass_progress(stats),
-                       /*load=*/false, /*partial=*/true});
-      };
-      conn.job_dispatched();
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post(
-                            {id, seq, serve::format_optimize_response(resp)});
-                      });
-      return;
-    }
-    case serve::CommandKind::kDetail:
-    case serve::CommandKind::kCongest:
-    case serve::CommandKind::kVerify:
-    case serve::CommandKind::kSvg: {
-      const pipeline::StageKind stage_kind =
-          cmd.kind == serve::CommandKind::kDetail
-              ? pipeline::StageKind::kDetail
-          : cmd.kind == serve::CommandKind::kCongest
-              ? pipeline::StageKind::kCongest
-          : cmd.kind == serve::CommandKind::kVerify
-              ? pipeline::StageKind::kVerify
-              : pipeline::StageKind::kSvg;
-      serve::RouteRequest req;
-      try {
-        req = serve::to_request(
-            serve::parse_stage_command(stage_kind, cmd.args));
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      req.received = received;
-      req.cancel = conn.cancel_token();
-      conn.job_dispatched();
-      // Same shape as ROUTE: the stage runs (or its cached result is
-      // fetched) on a worker, the body — possibly a multi-MB SVG — is
-      // formatted there, and the finished frame posts back for the
-      // in-order backpressured flush.
-      service_.submit(std::move(req),
-                      [mailbox = mailbox_, id = conn.id(),
-                       seq](serve::RouteResponse resp) {
-                        mailbox->post({id, seq,
-                                       serve::format_stage_response(resp)});
-                      });
-      return;
-    }
-    case serve::CommandKind::kGen: {
-      serve::GenCommand gen;
-      try {
-        gen = serve::parse_gen_command(cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      // Synthesis is deterministic but NOT loop-thread cheap: the parse
-      // caps admit cells=4096 with nets=65536, whose per-net shuffles run
-      // for seconds.  It therefore runs on a worker (like the cold LOAD
-      // build), which then feeds the synthesized text through LOAD's exact
-      // path — content probe, session build, cache insert — with the same
-      // ordering barrier for pipelined GEN→ROUTE.
-      conn.job_dispatched();
-      conn.load_inflight = true;
-      service_.submit_gen(
-          [gen] { return serve::generate_workload_text(gen); },
-          conn.cancel_token(),
-          [mailbox = mailbox_, id = conn.id(), seq, kind = gen.kind,
-           service = &service_](serve::LoadResponse resp) {
-            service->record_gen(resp.ok);
-            std::string frame =
-                resp.ok ? serve::format_gen_ok(*resp.session, resp.cache_hit,
-                                               kind)
-                        : serve::format_err(resp.error);
-            mailbox->post({id, seq, std::move(frame), /*load=*/true});
-          });
-      return;
-    }
-    case serve::CommandKind::kPin:
-    case serve::CommandKind::kUnpin:
-    case serve::CommandKind::kCommit:
-    case serve::CommandKind::kUncommit:
-    case serve::CommandKind::kSave: {
-      serve::PinRequest req;
-      try {
-        req = serve::parse_pin_command(cmd.kind, cmd.args);
-      } catch (const std::exception& e) {
-        conn.complete(seq, serve::format_err(e.what()));
-        return;
-      }
-      const serve::PinRequest::Op op = req.op;
-      // The connection's cancel token is the pin owner: pointer identity
-      // gates every later mutation, and close_connection's release_pins
-      // call frees the pins when this peer goes away.
-      req.owner = conn.cancel_token();
-      conn.job_dispatched();
-      service_.submit_pin(std::move(req),
-                          [mailbox = mailbox_, id = conn.id(), seq,
-                           op](serve::PinResponse resp) {
-                            mailbox->post(
-                                {id, seq,
-                                 serve::format_pin_response(resp, op)});
-                          });
-      return;
-    }
-    case serve::CommandKind::kUnknown:
+      break;
+    case serve::DispatchResult::Kind::kInline:
       break;
   }
-  conn.complete(seq,
-                serve::format_err("unknown command '" + cmd.keyword + "'"));
+  conn.complete(seq, std::move(r.frame));
 }
 
 void EventLoop::settle(std::uint64_t id) {
@@ -644,14 +412,13 @@ void EventLoop::settle(std::uint64_t id) {
     // per command no matter how often the limits interrupt it (a
     // wholesale move-out/re-park here would be quadratic against a large
     // parked burst drained one completion at a time).
-    if (conn.deferred.empty() || conn.quit || conn.close_after_flush ||
-        conn.load_inflight ||
+    if (conn.deferred.empty() || conn.close_after_flush || conn.barrier ||
         conn.backlog() > opts_.write_high_water / 2 ||
         conn.inflight() >= opts_.max_inflight) {
       break;
     }
-    while (!conn.deferred.empty() && !conn.quit && !conn.close_after_flush &&
-           !conn.load_inflight &&
+    while (!conn.deferred.empty() && !conn.close_after_flush &&
+           !conn.barrier &&
            conn.backlog() <= opts_.write_high_water &&
            conn.inflight() < opts_.max_inflight) {
       FrameParser::Event ev = std::move(conn.deferred.front());
@@ -674,9 +441,9 @@ void EventLoop::settle(std::uint64_t id) {
   // when *completions* (not reads) pushed the backlog over the mark: an
   // unread socket then fills the peer's TCP window and stalls the sender
   // itself, which is backpressure all the way down.
-  if (conn.reads_suspended && !conn.eof && !conn.quit &&
-      !conn.close_after_flush && !conn.parser().dead() && !stopping_ &&
-      conn.deferred.empty() && !conn.load_inflight &&
+  if (conn.reads_suspended && !conn.eof && !conn.close_after_flush &&
+      !conn.parser().dead() && !stopping_ && conn.deferred.empty() &&
+      !conn.barrier &&
       conn.inflight() < opts_.max_inflight &&
       conn.backlog() <= opts_.write_high_water / 2) {
     conn.reads_suspended = false;

@@ -22,19 +22,18 @@
 ///
 /// Division of labour — the loop thread only ever does cheap things:
 ///   - accept connections and read whatever bytes are available;
-///   - feed the per-connection FrameParser and dispatch completed commands
-///     (ROUTE becomes a worker-pool job via RoutingService::submit's
-///     callback form; STATS/LOAD/errors are answered inline);
-///   - flush write buffers and maintain epoll interest sets.
-/// Routing runs on the pool; a finished job's worker thread formats the
-/// response (the expensive route-dump rendering) and posts it to the
-/// loop's mailbox — a mutex-guarded vector plus an eventfd the loop sleeps
-/// on — so routing never blocks the loop and the loop never blocks routing.
-/// Cold LOADs (layout parse + environment build) go to the pool the same
-/// way, so a cold-session storm cannot stall every connection behind one
-/// build; only the content-hash probe for an already-resident session runs
-/// on the loop.  While a connection's LOAD is building, its later commands
-/// park on the connection (Connection::load_inflight) and replay once the
+///   - feed the per-connection FrameParser and hand each completed command
+///     to serve::dispatch, which answers cheap verbs inline and queues
+///     everything else on the worker pool;
+///   - sequence the replies, flush write buffers and maintain epoll
+///     interest sets.
+/// A queued job's worker thread formats the response (the expensive
+/// route-dump rendering) and posts it to the loop's mailbox — a
+/// mutex-guarded vector plus an eventfd the loop sleeps on — so routing
+/// never blocks the loop and the loop never blocks routing.  Cold LOADs and
+/// GENs are queued too, so a cold-session storm cannot stall every
+/// connection behind one build; while one is building, the connection's
+/// later commands park (Connection::barrier) and replay once the
 /// completion lands, preserving pipelined LOAD→ROUTE semantics and
 /// response order.
 ///

@@ -84,9 +84,11 @@ bool FrameParser::feed(const char* data, std::size_t n,
 }
 
 bool FrameParser::finish_eof(std::vector<Event>& out) {
+  // May emit kCommand / kFatal, or enter kBody for a LOAD line whose body
+  // never comes.
+  if (state_ == State::kLine && !line_.empty()) finish_line(out);
   switch (state_) {
     case State::kLine:
-      if (!line_.empty()) finish_line(out);  // may emit kCommand / kFatal
       break;
     case State::kBody: {
       Event ev;
@@ -111,7 +113,7 @@ bool FrameParser::finish_eof(std::vector<Event>& out) {
 
 void FrameParser::finish_line(std::vector<Event>& out) {
   if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-  // Blank lines are keep-alives in the blocking loop too: no event.
+  // Blank lines are keep-alives: no event, no reply.
   if (line_.find_first_not_of(" \t") == std::string::npos) {
     line_.clear();
     return;
@@ -149,8 +151,7 @@ void FrameParser::finish_line(std::vector<Event>& out) {
     Event ev;
     ev.kind = EventKind::kOversizeLoad;
     ev.line = std::move(line_);
-    // Match the blocking loop's wording at the default limit so both
-    // front-ends speak identical bytes.
+    // The protocol's wording at the default limit (kMaxLoadBytes).
     ev.error = opts_.max_load == serve::kMaxLoadBytes
                    ? "LOAD body larger than 64 MiB"
                    : "LOAD body larger than " + std::to_string(opts_.max_load) +

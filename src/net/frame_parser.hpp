@@ -7,15 +7,15 @@
 #include "serve/protocol.hpp"
 
 /// \file frame_parser.hpp
-/// Incremental framing for the routing protocol: bytes go in as they arrive
-/// off a non-blocking socket, complete protocol commands come out.  The
-/// blocking loop (serve::serve_connection) frames by *reading* — it can ask
-/// the stream for "one line" or "N body bytes" and wait.  An event loop
-/// cannot wait, so this parser inverts control: it is a state machine over
-/// the same grammar (command line, optional byte-counted LOAD body) that
-/// holds partial input between feed() calls.
+/// Incremental framing for the routing protocol — the only framer: bytes go
+/// in as they arrive, complete protocol commands come out.  Every transport
+/// uses it: the epoll front-end feeds what each non-blocking recv() returns,
+/// and the blocking stream loop (serve::serve_connection) feeds whatever
+/// its stream has buffered.  It is a state machine over the grammar
+/// (command line, optional byte-counted LOAD body) that holds partial input
+/// between feed() calls; serve::dispatch executes the events.
 ///
-/// The hardening rules match the blocking loop exactly:
+/// The hardening rules:
 ///   - a command line longer than max_line is discarded to its terminating
 ///     LF and reported (the connection answers ERR and keeps going);
 ///   - a LOAD whose count exceeds max_load is reported and its body bytes
@@ -61,11 +61,11 @@ class FrameParser {
   /// ignored (the connection is out of sync and must close).
   bool feed(const char* data, std::size_t n, std::vector<Event>& out);
 
-  /// Signals end of input.  Flushes a trailing LF-less command line — the
-  /// blocking front-end's getline serves those, so parity demands the
-  /// same here — and reports a LOAD whose declared body the peer never
-  /// finished (kFatal, the blocking loop's "body truncated" ERR).  The
-  /// parser is dead afterwards.  Returns like feed().
+  /// Signals end of input.  Flushes a trailing LF-less command line (it is
+  /// served like any other) and reports a LOAD whose declared body the
+  /// peer never finished — including one whose LOAD line was that trailing
+  /// line — as kFatal "body truncated".  The parser is dead afterwards.
+  /// Returns like feed().
   bool finish_eof(std::vector<Event>& out);
 
   [[nodiscard]] bool dead() const noexcept { return state_ == State::kDead; }

@@ -13,15 +13,13 @@
 #include <vector>
 
 /// \file fair_queue.hpp
-/// The weighted-fair successor to BoundedQueue at the service's admission
-/// stage: jobs are keyed (by session, pin handle, or load identity) into
+/// The service's bounded, weighted-fair admission queue: jobs are keyed (by session, pin handle, or load identity) into
 /// per-key shards and dequeued by deficit round-robin, so a session
 /// saturating the service with work no longer starves every other session
 /// behind it in a single FIFO — each live shard gets `weight` dequeues per
 /// ring round regardless of how deep its neighbors are.
 ///
-/// What is preserved from BoundedQueue, because the service's correctness
-/// leans on it:
+/// What the service's correctness leans on:
 ///   - *per-key* FIFO: one shard is one deque, so a pin handle's ticket
 ///     chain and a session's pipelined commands still dequeue in admission
 ///     order (global cross-key FIFO is exactly what fairness gives up);

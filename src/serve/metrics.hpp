@@ -77,8 +77,8 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> requests_errored{0};    ///< routing threw
   std::atomic<std::uint64_t> nets_routed{0};
   std::atomic<std::uint64_t> nets_failed{0};
-  /// LOAD jobs offloaded to the worker pool by the event-driven front-end
-  /// (the blocking front-end parses inline and does not count here).
+  /// LOAD and GEN jobs queued on the worker pool — every cold LOAD and
+  /// every GEN, on every transport (resident LOADs answer inline).
   std::atomic<std::uint64_t> loads_offloaded{0};
   std::atomic<std::uint64_t> loads_ok{0};
   std::atomic<std::uint64_t> loads_failed{0};  ///< parse error / rejected

@@ -1,8 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,38 +16,6 @@
 namespace gcr::serve {
 
 namespace {
-
-/// Outcome of one bounded line read.
-enum class LineRead {
-  kLine,     ///< a complete (possibly empty) line, CR stripped
-  kEof,      ///< no more input
-  kTooLong,  ///< exceeded kMaxCommandLine; discarded up to the next LF
-};
-
-/// getline with a hard length cap: the blocking loop's defence against a
-/// peer that streams bytes without ever sending `\n` (std::getline would
-/// buffer all of them, bypassing the LOAD size cap).  An overlong line is
-/// discarded to its terminating LF so framing survives.
-LineRead read_line_capped(std::istream& in, std::string& line) {
-  line.clear();
-  int ch;
-  while ((ch = in.get()) != std::istream::traits_type::eof()) {
-    if (ch == '\n') {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return LineRead::kLine;
-    }
-    if (line.size() >= kMaxCommandLine) {
-      while ((ch = in.get()) != std::istream::traits_type::eof() &&
-             ch != '\n') {
-      }
-      return LineRead::kTooLong;
-    }
-    line.push_back(static_cast<char>(ch));
-  }
-  if (line.empty()) return LineRead::kEof;
-  if (line.back() == '\r') line.pop_back();  // trailing line without LF
-  return LineRead::kLine;
-}
 
 std::vector<std::string> split_words(const std::string& s) {
   std::vector<std::string> out;
@@ -730,16 +696,6 @@ std::string format_load_response(const LoadResponse& resp) {
   return format_load_ok(*resp.session, resp.cache_hit);
 }
 
-std::string exec_load(RoutingService& service, const std::string& body) {
-  try {
-    bool cached = false;
-    const auto session = service.load(body, &cached);
-    return format_load_ok(*session, cached);
-  } catch (const std::exception& e) {
-    return format_err(e.what());
-  }
-}
-
 std::string exec_stats(RoutingService& service) {
   // The render itself is metered into the stats verb shard: STATS traffic
   // (dashboards poll it) must not hide in the global latency picture, and a
@@ -896,212 +852,6 @@ std::string format_gen_ok(const LayoutSession& session, bool cached,
                        .add("gen", to_string(kind))
                        .str(),
                    "");
-}
-
-std::string exec_gen(RoutingService& service, const GenCommand& cmd) {
-  try {
-    const std::string text = generate_workload_text(cmd);
-    bool cached = false;
-    const auto session = service.load(text, &cached);
-    service.record_gen(true);
-    return format_gen_ok(*session, cached, cmd.kind);
-  } catch (const std::exception& e) {
-    service.record_gen(false);
-    return format_err(e.what());
-  }
-}
-
-std::size_t serve_connection(RoutingService& service, std::istream& in,
-                             std::ostream& out) {
-  const auto emit = [&out](const std::string& frame) {
-    out << frame;
-    out.flush();
-  };
-  // This connection's identity: gates pin ownership and is what the
-  // disconnect auto-release below keys on.  (The blocking loop never
-  // cancels mid-request, so the flag itself is never set here.)
-  const auto owner = std::make_shared<std::atomic<bool>>(false);
-
-  std::size_t frames = 0;
-  std::string line;
-  for (;;) {
-    const LineRead got = read_line_capped(in, line);
-    if (got == LineRead::kEof) break;
-    if (got == LineRead::kTooLong) {
-      ++frames;
-      emit(format_err("command line exceeds " +
-                      std::to_string(kMaxCommandLine) + " bytes"));
-      continue;
-    }
-    // Parse-span origin: everything between here and submit (classify,
-    // knob validation, request lowering) is the front-end's own cost and
-    // is reported separately as span_parse_us.
-    const auto received = std::chrono::steady_clock::now();
-    const ClassifiedCommand cmd = classify_command(line);
-    if (cmd.kind == CommandKind::kBlank) continue;  // keep-alive line
-    ++frames;
-
-    if (cmd.kind == CommandKind::kQuit) {
-      emit(format_ok("bye", ""));
-      break;
-    }
-
-    if (cmd.kind == CommandKind::kStats) {
-      emit(exec_stats(service));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kHello) {
-      emit(format_hello(service.uptime_s()));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kTrace) {
-      try {
-        emit(exec_trace(service, parse_trace_count(cmd.args)));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-      }
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kLoad) {
-      unsigned long long nbytes = 0;
-      try {
-        nbytes = parse_load_count(line);
-      } catch (const std::exception& e) {
-        // Without a trustworthy byte count the body length is unknown, so
-        // the stream position is lost — drop the connection rather than
-        // parse body bytes as commands.
-        emit(format_err(std::string(e.what()) + " (connection out of sync)"));
-        break;
-      }
-      if (nbytes > kMaxLoadBytes) {
-        // The count is valid, just unacceptable: skip exactly the declared
-        // body so the connection stays framed, then keep serving.
-        emit(format_err("LOAD body larger than 64 MiB"));
-        in.ignore(static_cast<std::streamsize>(nbytes));
-        if (static_cast<unsigned long long>(in.gcount()) != nbytes) break;
-        continue;
-      }
-      std::string body(static_cast<std::size_t>(nbytes), '\0');
-      in.read(body.data(), static_cast<std::streamsize>(body.size()));
-      if (static_cast<unsigned long long>(in.gcount()) != nbytes) {
-        // A truncated body desynchronizes the framing; the only safe
-        // recovery is to drop the connection.
-        emit(format_err("LOAD body truncated (connection out of sync)"));
-        break;
-      }
-      emit(exec_load(service, body));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kOptimize) {
-      RouteRequest req;
-      try {
-        req = to_request(parse_optimize_command(cmd.args));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      req.received = received;
-      // Stream each completed pass as it lands.  The progress hook runs on
-      // the worker thread while this thread is parked inside route()'s
-      // future wait; the future's synchronization orders every streamed
-      // write before the final frame below, and nothing else writes to
-      // `out` in that window — the blocking loop serves one command at a
-      // time.
-      req.progress = [&emit](const route::OptimizePassStats& stats) {
-        emit(format_pass_progress(stats));
-      };
-      emit(format_optimize_response(service.route(std::move(req))));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kDetail ||
-        cmd.kind == CommandKind::kCongest ||
-        cmd.kind == CommandKind::kVerify || cmd.kind == CommandKind::kSvg) {
-      const pipeline::StageKind stage_kind =
-          cmd.kind == CommandKind::kDetail    ? pipeline::StageKind::kDetail
-          : cmd.kind == CommandKind::kCongest ? pipeline::StageKind::kCongest
-          : cmd.kind == CommandKind::kVerify  ? pipeline::StageKind::kVerify
-                                              : pipeline::StageKind::kSvg;
-      RouteRequest req;
-      try {
-        req = to_request(parse_stage_command(stage_kind, cmd.args));
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      req.received = received;
-      emit(format_stage_response(service.route(std::move(req))));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kGen) {
-      GenCommand gen;
-      try {
-        gen = parse_gen_command(cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      emit(exec_gen(service, gen));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kPin || cmd.kind == CommandKind::kUnpin ||
-        cmd.kind == CommandKind::kCommit ||
-        cmd.kind == CommandKind::kUncommit ||
-        cmd.kind == CommandKind::kSave) {
-      PinRequest req;
-      try {
-        req = parse_pin_command(cmd.kind, cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      const PinRequest::Op op = req.op;
-      req.owner = owner;
-      emit(format_pin_response(service.pin_op(std::move(req)), op));
-      continue;
-    }
-
-    if (cmd.kind == CommandKind::kRoute ||
-        cmd.kind == CommandKind::kReroute) {
-      RouteCommand rc;
-      try {
-        rc = cmd.kind == CommandKind::kRoute ? parse_route_command(cmd.args)
-                                             : parse_reroute_command(cmd.args);
-      } catch (const std::exception& e) {
-        emit(format_err(e.what()));
-        continue;
-      }
-      // REROUTE against a pin handle runs the rip-up on the pin's own
-      // committed remainder (owner-gated, per-pin FIFO) instead of the
-      // shared stateless path.
-      if (cmd.kind == CommandKind::kReroute &&
-          service.pins().find(rc.session_key) != nullptr) {
-        PinRequest preq;
-        preq.op = PinRequest::Op::kReroute;
-        preq.key = rc.session_key;
-        preq.nets = rc.nets;
-        preq.wire_halo = rc.opts.wire_halo;
-        preq.owner = owner;
-        emit(format_pin_response(service.pin_op(std::move(preq)),
-                                 PinRequest::Op::kReroute));
-        continue;
-      }
-      RouteRequest req = to_request(rc);
-      req.received = received;
-      emit(format_route_response(service.route(std::move(req))));
-      continue;
-    }
-
-    emit(format_err("unknown command '" + cmd.keyword + "'"));
-  }
-  service.release_pins(owner);
-  return frames;
 }
 
 }  // namespace gcr::serve

@@ -192,10 +192,11 @@
 /// each verb row names its positional arity and its `key=value` knobs with
 /// types, ranges, and required flags; classify_command, every parse_*
 /// function, and the HELLO capability list are all views of that single
-/// table, so the two front-ends cannot drift and a new verb is one row plus
-/// a handler.  Everything below except serve_connection is a pure function
-/// over in-memory buffers, shared verbatim by the legacy blocking loop and
-/// the epoll front-end (src/net/): both speak exactly the same bytes.
+/// table, so a new verb is one row plus a case in serve::dispatch
+/// (serve/dispatch.hpp) — the one function that executes commands.  Every
+/// transport frames with net::FrameParser and delivers what dispatch
+/// produces: serve_connection below over a blocking stream, the epoll
+/// front-end (src/net/) over sockets; both speak exactly the same bytes.
 
 namespace gcr::serve {
 
@@ -215,7 +216,7 @@ inline constexpr unsigned long long kMaxDeadlineMs = 86'400'000;
 /// uniform key=value response metas, session lifecycle (PIN family).
 inline constexpr unsigned kProtocolVersion = 2;
 
-/// The command keywords, classified once for both front-ends.
+/// The command keywords, classified once for every transport.
 enum class CommandKind {
   kBlank,    ///< empty / whitespace-only keep-alive line
   kQuit,
@@ -287,8 +288,8 @@ struct ClassifiedCommand {
 };
 
 /// Splits a command line into keyword + argument rest and names the
-/// command by verb-table lookup.  The single keyword-routing point shared
-/// by the blocking loop and the epoll front-end — one table, no drift.
+/// command by verb-table lookup — the keyword-routing point of
+/// serve::dispatch.
 [[nodiscard]] ClassifiedCommand classify_command(const std::string& line);
 
 /// A parsed ROUTE or REROUTE command.
@@ -360,7 +361,7 @@ struct GenCommand {
 
 /// Parses a pin-family argument vector (everything after PIN / UNPIN /
 /// COMMIT / UNCOMMIT / SAVE) into a service request.  `owner` is left null
-/// — the front-end stamps its connection identity before submitting.
+/// — serve::dispatch stamps the connection identity before submitting.
 /// Throws std::runtime_error with token context like parse_route_command.
 [[nodiscard]] PinRequest parse_pin_command(CommandKind kind,
                                            const std::string& args);
@@ -373,8 +374,8 @@ struct GenCommand {
 /// Parses a complete `LOAD <count>` command line and returns the declared
 /// body byte count.  Throws std::runtime_error (with token context) when
 /// the count is missing, non-numeric, or out of range — the caller must
-/// treat that as a lost stream position.  Shared by the blocking loop and
-/// the incremental frame parser so both enforce identical framing.
+/// treat that as a lost stream position.  net::FrameParser frames every
+/// transport's LOAD bodies with it.
 [[nodiscard]] unsigned long long parse_load_count(const std::string& line);
 
 /// Lowers a parsed command into a service request (deadline made absolute,
@@ -396,25 +397,19 @@ struct GenCommand {
 /// which the caller reads off the service.
 [[nodiscard]] std::string format_hello(std::uint64_t uptime_s);
 
-/// Executes LOAD against the service and renders the response frame.
-/// Synchronous — the blocking front-end's path; the event loop offloads
-/// the build via RoutingService::submit_load and renders with
-/// format_load_response instead.
-[[nodiscard]] std::string exec_load(RoutingService& service,
-                                    const std::string& body);
-
 /// Renders the LOAD OK frame for an already-resolved session (the inline
-/// cache-hit fast path of the event loop).
+/// cache-hit fast path of serve::dispatch).
 [[nodiscard]] std::string format_load_ok(const LayoutSession& session,
                                          bool cached);
 
-/// Renders a completed offloaded LOAD: the same bytes exec_load would have
-/// produced for the same outcome.  Pure — safe on a worker thread.
+/// Renders a completed offloaded LOAD: format_load_ok on success, the ERR
+/// frame otherwise.  Pure — safe on a worker thread.
 [[nodiscard]] std::string format_load_response(const LoadResponse& resp);
 
-/// Renders the STATS response frame.  Times its own render and records the
-/// cost into the service's `stats` verb shard — the observer observes
-/// itself, so a pathological STATS render shows up in STATS.
+/// Renders the STATS response frame (answered inline by serve::dispatch).
+/// Times its own render and records the cost into the service's `stats`
+/// verb shard — the observer observes itself, so a pathological STATS
+/// render shows up in STATS.
 [[nodiscard]] std::string exec_stats(RoutingService& service);
 
 /// Parses a TRACE argument vector (`[n=<count>]`, 1..256) and returns the
@@ -422,9 +417,9 @@ struct GenCommand {
 /// with token context like parse_route_command.
 [[nodiscard]] std::size_t parse_trace_count(const std::string& args);
 
-/// Renders the TRACE response frame: up to \p n slow-ring records, slowest
-/// first, one `trace <id> …` line each (see the file comment), with
-/// `count=` and `threshold_ms=` meta.
+/// Renders the TRACE response frame (answered inline by serve::dispatch):
+/// up to \p n slow-ring records, slowest first, one `trace <id> …` line
+/// each (see the file comment), with `count=` and `threshold_ms=` meta.
 [[nodiscard]] std::string exec_trace(RoutingService& service, std::size_t n);
 
 /// Renders a completed ROUTE response: OK frame with the route-dump body
@@ -458,19 +453,16 @@ struct GenCommand {
 [[nodiscard]] std::string format_gen_ok(const LayoutSession& session,
                                         bool cached, GenCommand::Kind kind);
 
-/// Executes GEN synchronously (generate + load + account) — the blocking
-/// front-end's path; the event loop generates on its own thread and runs
-/// the text through its LOAD machinery instead.
-[[nodiscard]] std::string exec_gen(RoutingService& service,
-                                   const GenCommand& cmd);
-
-/// Serves one connection: reads command frames from \p in, writes response
-/// frames to \p out, until QUIT, end of input, or an unrecoverable framing
-/// error (a LOAD whose body ends early).  Malformed *command lines* get an
-/// ERR response and the connection continues — one bad request must not
-/// take down a pipelined client.  The connection gets a fresh identity
-/// token; pins it acquires are released when the loop exits, whatever the
-/// exit path.  Returns the number of frames served.
+/// Serves one connection over a blocking stream (the daemon's stdin/stdout
+/// and `--fd` transports): frames whatever bytes \p in holds with
+/// net::FrameParser, executes each command through serve::dispatch, and
+/// writes its frames to \p out — waiting for a queued command's final
+/// frame before starting the next — until QUIT, end of input, or an
+/// unrecoverable framing error (a LOAD whose body ends early).  Malformed
+/// *command lines* get an ERR response and the connection continues — one
+/// bad request must not take down a pipelined client.  The connection gets
+/// a fresh identity token; pins it acquires are released when the loop
+/// exits, whatever the exit path.  Returns the number of frames served.
 std::size_t serve_connection(RoutingService& service, std::istream& in,
                              std::ostream& out);
 

@@ -1,8 +1,14 @@
 #include "serve/routing_service.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <iterator>
 #include <utility>
@@ -37,6 +43,44 @@ VerbKind classify_verb(const RouteRequest& req) {
   if (req.optimize) return VerbKind::kOptimize;
   if (req.reroute) return VerbKind::kReroute;
   return VerbKind::kRoute;
+}
+
+/// fsync()s \p path opened with \p flags; empty on success, else the
+/// reason.
+std::string sync_path(const std::filesystem::path& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0 || ::fsync(fd) != 0) {
+    const std::string reason = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    return "cannot sync '" + path.string() + "': " + reason;
+  }
+  ::close(fd);
+  return {};
+}
+
+/// Writes \p blob to \p path and fsync()s it; empty on success, else the
+/// reason.
+std::string write_synced(const std::filesystem::path& path,
+                         const std::string& blob) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) return "cannot write snapshot file '" + path.string() + "'";
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    out.flush();
+    if (!out) return "short write to snapshot file '" + path.string() + "'";
+  }
+  return sync_path(path, O_RDONLY);
+}
+
+/// Closed-loop wait: hands \p submit a completion that fulfils a promise,
+/// then blocks until it fires.  The promise is shared with the callback,
+/// which may outlive this frame on the worker that ran it.
+template <typename Response, typename Submit>
+Response wait_for(Submit submit) {
+  auto p = std::make_shared<std::promise<Response>>();
+  std::future<Response> fut = p->get_future();
+  submit([p](Response resp) { p->set_value(std::move(resp)); });
+  return fut.get();
 }
 
 }  // namespace
@@ -91,14 +135,6 @@ RoutingService::~RoutingService() {
 std::shared_ptr<const LayoutSession> RoutingService::load(
     const std::string& text, bool* cache_hit) {
   return cache_.load(text, cache_hit);
-}
-
-std::future<RouteResponse> RoutingService::submit(RouteRequest req) {
-  auto p = std::make_shared<std::promise<RouteResponse>>();
-  std::future<RouteResponse> fut = p->get_future();
-  submit(std::move(req),
-         [p](RouteResponse resp) { p->set_value(std::move(resp)); });
-  return fut;
 }
 
 void RoutingService::submit(RouteRequest req, RouteCallback done) {
@@ -176,7 +212,8 @@ void RoutingService::submit(RouteRequest req, RouteCallback done) {
 }
 
 RouteResponse RoutingService::route(RouteRequest req) {
-  return submit(std::move(req)).get();
+  return wait_for<RouteResponse>(
+      [&](RouteCallback done) { submit(std::move(req), std::move(done)); });
 }
 
 void RoutingService::submit_pin(PinRequest req, PinCallback done) {
@@ -260,11 +297,8 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
 }
 
 PinResponse RoutingService::pin_op(PinRequest req) {
-  auto p = std::make_shared<std::promise<PinResponse>>();
-  std::future<PinResponse> fut = p->get_future();
-  submit_pin(std::move(req),
-             [p](PinResponse resp) { p->set_value(std::move(resp)); });
-  return fut.get();
+  return wait_for<PinResponse>(
+      [&](PinCallback done) { submit_pin(std::move(req), std::move(done)); });
 }
 
 void RoutingService::release_pins(
@@ -329,46 +363,21 @@ void RoutingService::autosave_loop() {
   }
 }
 
-void RoutingService::submit_load(std::string text, std::string key,
-                                 std::shared_ptr<std::atomic<bool>> cancel,
-                                 LoadCallback done) {
+void RoutingService::submit_load(LoadRequest req, LoadCallback done) {
   metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
   Job job;
   job.kind = Job::Kind::kLoad;
-  job.verb = VerbKind::kLoad;
+  job.verb = req.synth ? VerbKind::kGen : VerbKind::kLoad;
   job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.load_text = std::move(text);
-  job.load_key = std::move(key);
-  job.load_cancel = std::move(cancel);
+  job.load = std::move(req);
   job.load_done = std::move(done);
   job.submitted = std::chrono::steady_clock::now();
   // The load key IS the session content key, so a cold LOAD queues in the
   // same shard as that session's routes — fair against other sessions,
-  // ordered within its own.
-  const std::string shard = job.load_key;
-  if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-    LoadResponse resp;
-    resp.error = "rejected";
-    job.load_done(std::move(resp));
-  }
-}
-
-void RoutingService::submit_gen(std::function<std::string()> synth,
-                                std::shared_ptr<std::atomic<bool>> cancel,
-                                LoadCallback done) {
-  metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
-  Job job;
-  job.kind = Job::Kind::kLoad;
-  job.verb = VerbKind::kGen;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.load_synth = std::move(synth);
-  job.load_cancel = std::move(cancel);
-  job.load_done = std::move(done);
-  job.submitted = std::chrono::steady_clock::now();
-  // All GENs share one shard: synthesis has no session identity yet, and
-  // pooling them keeps a generation storm to one DRR turn per round.
-  const std::string shard = "gen";
+  // ordered within its own.  All GENs share one shard: synthesis has no
+  // session identity yet, and pooling them keeps a generation storm to one
+  // DRR turn per round.
+  const std::string shard = job.load.synth ? "gen" : job.load.key;
   if (!queue_.try_push(shard, std::move(job))) {
     metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
     LoadResponse resp;
@@ -386,17 +395,17 @@ void RoutingService::run_load_job(Job& job) {
   job.trace.dequeue_us =
       micros_between(job.submitted, std::chrono::steady_clock::now());
   LoadResponse resp;
-  if (job.load_cancel &&
-      job.load_cancel->load(std::memory_order_relaxed)) {
+  if (job.load.cancel &&
+      job.load.cancel->load(std::memory_order_relaxed)) {
     resp.error = "cancelled";  // peer gone: skip the expensive build
   } else {
     try {
-      if (job.load_synth) {
+      if (job.load.synth) {
         // GEN: synthesize here, then load by content — the worker hashes
         // the body it just produced (no admission-time probe existed).
-        resp.session = cache_.load(job.load_synth(), &resp.cache_hit);
+        resp.session = cache_.load(job.load.synth(), &resp.cache_hit);
       } else {
-        resp.session = cache_.load(job.load_text, std::move(job.load_key),
+        resp.session = cache_.load(job.load.text, std::move(job.load.key),
                                    &resp.cache_hit);
       }
       resp.ok = true;
@@ -418,7 +427,7 @@ void RoutingService::run_load_job(Job& job) {
   SlowRecord rec;
   rec.id = job.id;
   rec.verb = job.verb;
-  rec.session = resp.session != nullptr ? resp.session->key : job.load_key;
+  rec.session = resp.session != nullptr ? resp.session->key : job.load.key;
   rec.status = resp.ok ? "ok" : "error";
   rec.trace = std::move(trace);
   slow_ring_.offer(std::move(rec));
@@ -830,27 +839,19 @@ void RoutingService::save_pin(const PinnedSession& pin,
   fs::create_directories(dir, ec);  // best effort; the open below reports
   const fs::path tmp = dir / (name + ".tmp");
   const fs::path final_path = dir / name;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      resp.status = RouteStatus::kError;
-      resp.error = "cannot write snapshot file '" + tmp.string() + "'";
-      return;
-    }
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    out.flush();
-    if (!out) {
-      resp.status = RouteStatus::kError;
-      resp.error = "short write to snapshot file '" + tmp.string() + "'";
-      return;
-    }
+  // Durable atomic publish: the blob reaches the disk before the rename
+  // makes it visible, and the rename itself is synced through the
+  // directory — a crash leaves the old snapshot or the new one, never a
+  // renamed-but-empty file (a stray .tmp fails restore's decode).
+  std::string error = write_synced(tmp, blob);
+  if (error.empty()) {
+    fs::rename(tmp, final_path, ec);
+    if (ec) error = "cannot publish snapshot file: " + ec.message();
   }
-  // Atomic publish: a crash mid-write leaves only the .tmp, which restore
-  // skips (bad magic / truncation), never a half-visible snapshot.
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
+  if (error.empty()) error = sync_path(dir, O_RDONLY | O_DIRECTORY);
+  if (!error.empty()) {
     resp.status = RouteStatus::kError;
-    resp.error = "cannot publish snapshot file: " + ec.message();
+    resp.error = std::move(error);
     return;
   }
   resp.save_bytes = blob.size();

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -28,6 +27,12 @@
 /// weighted-fair job queue of route requests against cached layout
 /// sessions.
 ///
+/// Admission is callback-driven: submit, submit_load and submit_pin take
+/// the request plus a completion that fires exactly once, inline for
+/// fail-fast outcomes or on a worker.  route() and pin_op() are the
+/// closed-loop waits over them.  serve::dispatch (serve/dispatch.hpp) is
+/// the protocol's only caller.
+///
 /// Request lifecycle:
 ///   submit  -> session resolved (miss fails fast, nothing queued)
 ///           -> admission through the bounded fair queue (full = rejected);
@@ -37,7 +42,7 @@
 ///   worker  -> cancellation and deadline checked at dequeue
 ///           -> NetlistRouter::route_all over the session's shared
 ///              SearchEnvironment (no per-request index builds)
-///   future  -> RouteResponse with result, status, and latency breakdown
+///   done    -> RouteResponse with result, status, and latency breakdown
 ///
 /// Deadlines and cancellation are enforced at the queue boundary — a job
 /// whose deadline passed while queued, or whose client hung up, is dropped
@@ -144,13 +149,29 @@ struct RouteResponse {
   [[nodiscard]] bool ok() const noexcept { return status == RouteStatus::kOk; }
 };
 
-/// Completion callback for the asynchronous submit form.  Invoked exactly
-/// once: inline on the submitting thread for fail-fast outcomes (unknown
-/// session, unknown net, full queue), or on a worker thread after routing.
-/// It must not block — the worker pool's throughput rides on it.
+/// Completion callback for submit.  Invoked exactly once: inline on the
+/// submitting thread for fail-fast outcomes (unknown session, unknown net,
+/// full queue), or on a worker thread after routing.  It must not block —
+/// the worker pool's throughput rides on it.
 using RouteCallback = std::function<void(RouteResponse)>;
 
-/// Outcome of an offloaded LOAD (parse + validate + environment build on a
+/// A LOAD or GEN admission: LOAD sets `text` and `key`, GEN sets `synth`.
+struct LoadRequest {
+  /// LOAD: the layout text and its precomputed SessionCache::content_key —
+  /// the caller's admission probe already hashed the body; the worker must
+  /// not pay that again.
+  std::string text;
+  std::string key;
+  /// GEN: produces the layout text on the worker (at the parse caps
+  /// synthesis alone can run for seconds).  May throw; the failure comes
+  /// back as ok=false.
+  std::function<std::string()> synth;
+  /// Set at dequeue: skip the build — the peer is gone and nobody wants
+  /// the session (the callback still fires, with ok=false).
+  std::shared_ptr<std::atomic<bool>> cancel;
+};
+
+/// Outcome of a LOAD/GEN job (parse + validate + environment build on a
 /// worker instead of the caller's thread).
 struct LoadResponse {
   bool ok = false;
@@ -253,39 +274,16 @@ class RoutingService {
   std::shared_ptr<const LayoutSession> load(const std::string& text,
                                             bool* cache_hit = nullptr);
 
-  /// Non-blocking admission.  The returned future is always valid; a
-  /// request that cannot be served (unknown session, full queue) completes
-  /// immediately with the corresponding status.
-  [[nodiscard]] std::future<RouteResponse> submit(RouteRequest req);
-
-  /// Callback form of admission — the event-driven front-end's entry point
-  /// (src/net/): no future to block on, \p done fires with the response
-  /// wherever it materializes (see RouteCallback).  The callback typically
-  /// formats the response and posts it to the event loop's wakeup mailbox.
+  /// Route-family admission (ROUTE/REROUTE/OPTIMIZE/stage verbs): \p done
+  /// fires with the response wherever it materializes (see RouteCallback).
   void submit(RouteRequest req, RouteCallback done);
 
-  /// Offloads a LOAD — layout parse, validation, and the expensive
-  /// environment build — to the worker pool instead of the calling thread;
-  /// the event loop's defence against a cold-session storm stalling every
-  /// connection.  \p key is the precomputed `SessionCache::content_key` of
-  /// \p text (the caller's admission probe already hashed the body; the
-  /// worker must not pay that again).  \p done fires on a worker (or
-  /// inline with a rejection when the queue is full).  \p cancel, when set
-  /// at dequeue, skips the build — the peer is gone and nobody wants the
-  /// session (the callback still fires, with ok=false).
-  void submit_load(std::string text, std::string key,
-                   std::shared_ptr<std::atomic<bool>> cancel,
-                   LoadCallback done);
-
-  /// Offloads a GEN: \p synth runs on a worker to produce the layout text
-  /// (at the parse caps synthesis alone can run for seconds — far too long
-  /// for the event-loop thread), then the text takes the LOAD path on the
-  /// same worker — content probe, session build, cache insert.  \p synth
-  /// may throw; the failure comes back as ok=false.  \p cancel and \p done
-  /// behave exactly as in submit_load.
-  void submit_gen(std::function<std::string()> synth,
-                  std::shared_ptr<std::atomic<bool>> cancel,
-                  LoadCallback done);
+  /// LOAD/GEN admission: the layout parse, validation, and expensive
+  /// environment build (plus, for GEN, the synthesis) run on the worker
+  /// pool, so a cold-session storm cannot stall a front-end thread.
+  /// \p done fires on a worker, or inline with a rejection when the queue
+  /// is full.
+  void submit_load(LoadRequest req, LoadCallback done);
 
   /// Closed-loop convenience: submit and wait.
   [[nodiscard]] RouteResponse route(RouteRequest req);
@@ -302,11 +300,11 @@ class RoutingService {
   [[nodiscard]] PinResponse pin_op(PinRequest req);
 
   /// Releases every pin owned by \p owner — the disconnect auto-release
-  /// hook, called by both front-ends when a connection ends (the epoll
-  /// loop from close_connection, the blocking loop at serve_connection
-  /// exit).  With \p preserve (the event loop's drain path during
-  /// shutdown) the pins stay registered unowned instead of being
-  /// destroyed, so final_save_pins can still snapshot them.
+  /// hook, called by every transport when a connection ends (the epoll
+  /// loop from close_connection, serve_connection at exit).  With
+  /// \p preserve (the event loop's drain path during shutdown) the pins
+  /// stay registered unowned instead of being destroyed, so
+  /// final_save_pins can still snapshot them.
   void release_pins(const std::shared_ptr<std::atomic<bool>>& owner,
                     bool preserve = false);
 
@@ -324,8 +322,7 @@ class RoutingService {
   [[nodiscard]] pipeline::StageCache& stages() noexcept {
     return stage_cache_;
   }
-  /// GEN accounting: the front-ends synthesize the workload (on their own
-  /// path — inline or via submit_load) and report the outcome here.
+  /// GEN accounting: serve::dispatch reports each GEN job's outcome here.
   void record_gen(bool ok) noexcept {
     (ok ? metrics_.gens_ok : metrics_.gens_failed)
         .fetch_add(1, std::memory_order_relaxed);
@@ -380,12 +377,7 @@ class RoutingService {
     std::shared_ptr<const LayoutSession> session;
     RouteCallback done;
     // kLoad fields.
-    std::string load_text;
-    std::string load_key;  ///< content_key(load_text), hashed at admission
-    /// GEN: synthesizes the layout text on the worker (load_text/load_key
-    /// unused; the worker hashes the synthesized body itself).
-    std::function<std::string()> load_synth;
-    std::shared_ptr<std::atomic<bool>> load_cancel;
+    LoadRequest load;
     LoadCallback load_done;
     // kPin fields.
     PinRequest pin_req;

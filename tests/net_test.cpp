@@ -152,8 +152,7 @@ TEST(FrameParser, UnparsableLoadCountIsFatal) {
 }
 
 TEST(FrameParser, FinishEofFlushesTrailingLine) {
-  // The blocking front-end's getline serves a final line that the peer
-  // never LF-terminated; EOF flush keeps the two front-ends in parity.
+  // A final line that the peer never LF-terminated is still served.
   net::FrameParser p;
   std::vector<Event> out;
   p.feed("STATS", 5, out);
@@ -174,6 +173,14 @@ TEST(FrameParser, FinishEofReportsTruncatedLoadBody) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].kind, Kind::kFatal);
   EXPECT_NE(out[0].error.find("truncated"), std::string::npos);
+  // A trailing LF-less LOAD line is a LOAD whose body never came.
+  net::FrameParser r;
+  std::vector<Event> tail;
+  r.feed("LOAD 5", 6, tail);
+  EXPECT_FALSE(r.finish_eof(tail));
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].kind, Kind::kFatal);
+  EXPECT_NE(tail[0].error.find("truncated"), std::string::npos);
   // Clean EOF at a frame boundary flushes nothing.
   net::FrameParser q;
   std::vector<Event> none;
@@ -315,8 +322,8 @@ TEST(EventLoop, PipelinedCommandsInOneSegment) {
 }
 
 TEST(EventLoop, TrailingLineWithoutNewlineServedOnHalfClose) {
-  // Parity with the blocking front-end: a client that sends its last
-  // command without a newline and half-closes still gets its response.
+  // A client that sends its last command without a newline and
+  // half-closes still gets its response.
   TestServer server;
   const net::ScopedFd sock = net::tcp_connect(server.port());
   serve::FdTransport transport(sock.get());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -386,10 +387,12 @@ Frame next_frame(std::istream& in) {
   return f;
 }
 
-/// Drops the trailing per-request timing fields, which legitimately differ
-/// between runs and front-ends.
+/// Drops the trailing per-request timing fields (HELLO's uptime, every
+/// queued reply's queue_us= onward), which legitimately differ between
+/// runs and front-ends.
 std::string strip_timing(const std::string& status) {
-  const std::size_t pos = status.find(" queue_us=");
+  std::size_t pos = status.find(" queue_us=");
+  if (pos == std::string::npos) pos = status.find(" uptime_s=");
   return pos == std::string::npos ? status : status.substr(0, pos);
 }
 
@@ -604,40 +607,116 @@ TEST(EventLoopPipeline, PipelinedGenRouteDetailVerifyStats) {
   EXPECT_EQ(snap.stage_cache_misses, 2u);
 }
 
-TEST(EventLoopPipeline, FrontEndsAnswerPipelineVerbsIdentically) {
-  // The same command sequence through serve_connection (blocking) and the
-  // epoll loop (TCP) must produce byte-identical frames once the timing
-  // fields — the only legitimately nondeterministic bytes — are stripped.
-  const std::string text = workload_text(9, 12, 5);
+/// One protocol conversation covering every verb, spoken over \p fd in
+/// rounds: each round is sent whole (pipelined), then its replies are read
+/// — every final frame plus any OPTIMIZE `PASS` lines — before the next
+/// round goes out.  Returns (timing-stripped status, body) per frame.
+std::vector<std::pair<std::string, std::string>> converse_every_verb(int fd) {
+  const std::string gen_key =
+      serve::SessionCache::content_key(workload_text(9, 12, 5));
+  const std::string text = workload_text(9, 10, 8);
   const std::string key = serve::SessionCache::content_key(text);
-  const std::string script = std::string(kGenLine) + "ROUTE " + key +
-                             "\nDETAIL " + key + "\nCONGEST " + key +
-                             "\nVERIFY " + key + "\nSVG " + key + "\nQUIT\n";
-  constexpr std::size_t kFrames = 7;
+  const layout::Layout lay = io::read_layout_string(text);
+  const std::string net_a = lay.nets()[0].name();
+  const std::string net_b = lay.nets()[1].name();
+  const std::string load =
+      "LOAD " + std::to_string(text.size()) + "\n" + text;
 
+  serve::FdTransport transport(fd);
+  std::vector<std::pair<std::string, std::string>> frames;
+  const auto round = [&](const std::string& bytes, std::size_t finals) {
+    send_all(fd, bytes);
+    while (finals > 0) {
+      const Frame f = next_frame(transport.in());
+      if (f.status.empty()) return;  // stream ended early; sizes will differ
+      if (f.status.rfind("PASS ", 0) != 0) --finals;
+      frames.emplace_back(strip_timing(f.status), f.body);
+    }
+  };
+
+  // GEN and a cold LOAD are ordering barriers, so the whole first round
+  // pipelines; OPTIMIZE's PASS lines queue behind the stage replies.
+  round("HELLO\n" + std::string(kGenLine) + load + load + "ROUTE " +
+            gen_key + "\nDETAIL " + gen_key + "\nCONGEST " + gen_key +
+            "\nVERIFY " + gen_key + "\nSVG " + gen_key + "\nOPTIMIZE " +
+            key + " passes=2\n",
+        10);
+  // A pin handle is addressable once PIN has answered; its mutations then
+  // pipeline on the pin's ticket chain.
+  round("PIN " + key + "\n", 1);
+  const std::string& pinned = frames.back().first;
+  const std::size_t at = pinned.find("pin=");
+  const std::string handle =
+      at == std::string::npos
+          ? "missing"
+          : pinned.substr(at + 4, pinned.find(' ', at) - at - 4);
+  round("COMMIT " + handle + " nets=" + net_a + "," + net_b + "\nREROUTE " +
+            handle + " nets=" + net_a + "\nUNCOMMIT " + handle + " nets=" +
+            net_b + "\nSAVE " + handle + " snap\nUNPIN " + handle +
+            "\nBOGUS\n" + std::string(serve::kMaxCommandLine + 1, 'x') +
+            "\nTRACE n=0\n",
+        8);
+  // An oversize LOAD: ERR, then its declared body is skipped unbuffered
+  // and the connection stays framed for the QUIT behind it.
+  const std::size_t oversize = serve::kMaxLoadBytes + 1;
+  send_all(fd, "LOAD " + std::to_string(oversize) + "\n");
+  const std::string zeros(64 * 1024, '\0');
+  for (std::size_t sent = 0; sent < oversize; sent += zeros.size()) {
+    send_all(fd, zeros.substr(0, std::min(zeros.size(), oversize - sent)));
+  }
+  round("QUIT\n", 2);
+  return frames;
+}
+
+TEST(EventLoopPipeline, FrontEndsAnswerPipelineVerbsIdentically) {
+  // The same conversation through serve_connection (the blocking transport
+  // of gcr_serve's --fd mode, over a socketpair) and the epoll loop (TCP)
+  // must produce byte-identical frames once the timing fields — the only
+  // legitimately nondeterministic bytes — are stripped.
   std::vector<std::pair<std::string, std::string>> blocking;
   {
-    std::istringstream replies(run_protocol(script));
-    for (std::size_t i = 0; i < kFrames; ++i) {
-      const Frame f = next_frame(replies);
-      blocking.emplace_back(strip_timing(f.status), f.body);
-    }
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const net::ScopedFd client(sv[0]);
+    const net::ScopedFd server_end(sv[1]);
+    serve::RoutingService::Options opts;
+    opts.workers = 2;
+    serve::RoutingService service(opts);
+    std::thread server([&] {
+      serve::FdTransport transport(server_end.get());
+      serve::serve_connection(service, transport.in(), transport.out());
+    });
+    blocking = converse_every_verb(client.get());
+    // EOF ends serve_connection even if the conversation broke off early.
+    ::shutdown(client.get(), SHUT_WR);
+    server.join();
   }
 
   std::vector<std::pair<std::string, std::string>> epoll;
   {
     TestServer server;
     const net::ScopedFd sock = net::tcp_connect(server.port());
-    serve::FdTransport transport(sock.get());
-    send_all(sock.get(), script);
-    for (std::size_t i = 0; i < kFrames; ++i) {
-      const Frame f = next_frame(transport.in());
-      epoll.emplace_back(strip_timing(f.status), f.body);
-    }
+    epoll = converse_every_verb(sock.get());
   }
 
+  // Spot checks that the script reached every path it means to.
+  const auto has = [&](const std::string& prefix) {
+    return std::any_of(blocking.begin(), blocking.end(), [&](const auto& f) {
+      return f.first.rfind(prefix, 0) == 0;
+    });
+  };
+  EXPECT_TRUE(has("OK 0 session="));
+  EXPECT_TRUE(has("PASS 1 "));
+  EXPECT_TRUE(has("OK 0 pin=pin-"));
+  EXPECT_TRUE(has("ERR error: snapshots are disabled"));
+  EXPECT_TRUE(has("ERR unknown command 'BOGUS'"));
+  EXPECT_TRUE(has("ERR command line exceeds"));
+  EXPECT_TRUE(has("ERR LOAD body larger than 64 MiB"));
+  ASSERT_FALSE(blocking.empty());
+  EXPECT_EQ(blocking.back().first, "OK 0 bye");
+
   ASSERT_EQ(blocking.size(), epoll.size());
-  for (std::size_t i = 0; i < kFrames; ++i) {
+  for (std::size_t i = 0; i < blocking.size(); ++i) {
     EXPECT_EQ(blocking[i].first, epoll[i].first) << "frame " << i;
     EXPECT_EQ(blocking[i].second, epoll[i].second) << "frame " << i;
   }

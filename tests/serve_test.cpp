@@ -23,7 +23,6 @@
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
 #include "serve/fair_queue.hpp"
-#include "serve/job_queue.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -118,34 +117,6 @@ TEST(SessionCache, RejectsMalformedAndInvalidLayouts) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// ---------------------------------------------------------------- job queue
-
-TEST(BoundedQueue, SaturationAndClose) {
-  serve::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: admission fails fast
-  EXPECT_EQ(q.size(), 2u);
-
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
-
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed: no admission
-  EXPECT_EQ(q.pop(), 2);        // but queued jobs drain
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained
-}
-
-TEST(BoundedQueue, BlockingHandoff) {
-  serve::BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(7));
-  std::thread producer([&] { EXPECT_TRUE(q.push(8)); });  // blocks while full
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), 8);
-  producer.join();
-}
-
 // ---------------------------------------------------------------- fair queue
 
 /// Drains the whole queue (which must already be fully loaded) and returns
@@ -156,7 +127,7 @@ std::vector<int> drain_order(serve::FairQueue<int>& q) {
   return order;
 }
 
-TEST(FairQueue, SaturationAndCloseMatchBoundedQueueSemantics) {
+TEST(FairQueue, SaturationAndClose) {
   serve::FairQueue<int> q(2);
   EXPECT_TRUE(q.try_push("a", 1));
   EXPECT_TRUE(q.try_push("b", 2));
@@ -1104,25 +1075,36 @@ TEST(Protocol, TraceVerbDumpsSlowestRequests) {
   ASSERT_EQ(two.status.rfind("OK ", 0), 0u) << two.status;
   EXPECT_EQ(meta_u64(two.status, "count"), 2u);
   EXPECT_NE(two.status.find("threshold_ms=0"), std::string::npos);
-  // One line per record, slowest first, each with the span fields.
-  std::istringstream body(two.body);
+
+  // Default n=32 covers every record: the LOAD (built on the worker pool)
+  // and the three ROUTEs.  One line per record, slowest first, each with
+  // the span fields.
+  const Frame all = next_frame(replies);
+  ASSERT_EQ(all.status.rfind("OK ", 0), 0u);
+  EXPECT_EQ(meta_u64(all.status, "count"), 4u);
+  std::istringstream body(all.body);
   std::string line;
+  std::string first_two;
   std::uint64_t prev = ~std::uint64_t{0};
   int lines = 0;
+  int routes = 0;
+  int loads = 0;
   while (std::getline(body, line)) {
     ASSERT_EQ(line.rfind("trace ", 0), 0u) << line;
-    EXPECT_NE(line.find("verb=route"), std::string::npos) << line;
+    routes += line.find(" verb=route ") != std::string::npos ? 1 : 0;
+    loads += line.find(" verb=load ") != std::string::npos ? 1 : 0;
     EXPECT_NE(line.find("status=ok"), std::string::npos) << line;
+    EXPECT_NE(line.find(" finish_us="), std::string::npos) << line;
     const std::uint64_t total = meta_u64(line, "total_us");
     EXPECT_LE(total, prev) << "records must be sorted slowest-first";
     prev = total;
-    ++lines;
+    if (++lines <= 2) first_two += line + "\n";
   }
-  EXPECT_EQ(lines, 2);
-
-  const Frame all = next_frame(replies);
-  ASSERT_EQ(all.status.rfind("OK ", 0), 0u);
-  EXPECT_EQ(meta_u64(all.status, "count"), 3u);  // default n=32 >= 3 records
+  EXPECT_EQ(lines, 4);
+  EXPECT_EQ(routes, 3);
+  EXPECT_EQ(loads, 1);
+  // Nothing was recorded in between, so n=2 is exactly the top two.
+  EXPECT_EQ(two.body, first_two);
 
   for (const char* what : {"n=0", "n=257", "frob"}) {
     const Frame bad = next_frame(replies);
