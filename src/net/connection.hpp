@@ -122,10 +122,10 @@ class Connection {
   /// drained.
   bool close_after_flush = false;
   bool reads_suspended = false;  ///< EPOLLIN currently off
-  /// Ticket of the queued LOAD/GEN (serve::DispatchResult::barrier) still
-  /// building on the worker pool.  Commands behind it park in `deferred`
-  /// until its completion lands: a pipelined `LOAD …\nROUTE` burst must see
-  /// the session resolvable at the ROUTE's admission.
+  /// Ticket of the queued LOAD/GEN/PIN (serve::DispatchResult::barrier)
+  /// still running on the worker pool.  Commands behind it park in
+  /// `deferred` until its completion lands: a pipelined `LOAD …\nROUTE`
+  /// burst must see the session resolvable at the ROUTE's admission.
   std::optional<std::uint64_t> barrier;
   std::uint32_t registered_events = 0;  ///< epoll interest as last set
 

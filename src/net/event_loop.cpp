@@ -145,7 +145,9 @@ EventLoop::EventLoop(serve::RoutingService& service,
   // ReactorPool member loop skips this — the pool renders all its loops
   // through one hook instead.
   if (opts_.register_stats) {
-    service_.set_extra_stats([this] { return render_loop_stats(); });
+    service_.set_extra_stats([this] {
+      return render_loop_stats(snapshot_loop_stats(stats_), "loop_");
+    });
   }
 }
 
@@ -327,7 +329,7 @@ void EventLoop::process_events(Connection& conn,
       // by itself, and fail-fast ROUTE responses park in the mailbox
       // where the byte marks cannot see them; park the surplus so both
       // bounds hold even against a single pipelined burst.  A queued
-      // LOAD/GEN parks everything behind it too (the ordering barrier) —
+      // LOAD/GEN/PIN parks everything behind it too (the ordering barrier) —
       // that is sequencing, not a slow reader, so it skips the
       // backpressure stat.
       stats_.parked.fetch_add(events.size() - i, std::memory_order_relaxed);
@@ -518,10 +520,6 @@ void EventLoop::force_close_all() {
   for (const std::uint64_t id : ids) close_connection(id, /*drop=*/true);
 }
 
-std::string EventLoop::render_loop_stats() const {
-  return gcr::net::render_loop_stats(snapshot_loop_stats(stats_), "loop_");
-}
-
 #else  // !GCR_NET_HAVE_EPOLL
 
 EventLoop::EventLoop(serve::RoutingService& service,
@@ -545,7 +543,6 @@ void EventLoop::close_connection(std::uint64_t, bool) {}
 void EventLoop::begin_shutdown() {}
 void EventLoop::force_close_all() {}
 void EventLoop::update_interest(Connection&) {}
-std::string EventLoop::render_loop_stats() const { return {}; }
 
 #endif  // GCR_NET_HAVE_EPOLL
 
@@ -553,20 +550,7 @@ std::string EventLoop::render_loop_stats() const { return {}; }
 // Loop-stats snapshot/render — pure computation, platform-independent.
 
 void LoopStatsView::merge(const LoopStatsView& other) {
-  connections += other.connections;
-  accepted += other.accepted;
-  rejected_at_capacity += other.rejected_at_capacity;
-  closed += other.closed;
-  commands += other.commands;
-  reads_suspended += other.reads_suspended;
-  dropped_slow += other.dropped_slow;
-  dropped_error += other.dropped_error;
-  completions_discarded += other.completions_discarded;
-  parked += other.parked;
-  replayed += other.replayed;
-  bytes_in += other.bytes_in;
-  bytes_out += other.bytes_out;
-  wakeups += other.wakeups;
+  serve::add_counters(*this, other);
   for (std::size_t i = 0; i < lag.buckets.size(); ++i) {
     lag.buckets[i] += other.lag.buckets[i];
   }
@@ -575,24 +559,8 @@ void LoopStatsView::merge(const LoopStatsView& other) {
 }
 
 LoopStatsView snapshot_loop_stats(const EventLoopStats& stats) {
-  const auto v = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
   LoopStatsView view;
-  view.connections = v(stats.connections);
-  view.accepted = v(stats.accepted);
-  view.rejected_at_capacity = v(stats.rejected_at_capacity);
-  view.closed = v(stats.closed);
-  view.commands = v(stats.commands);
-  view.reads_suspended = v(stats.reads_suspended);
-  view.dropped_slow = v(stats.dropped_slow);
-  view.dropped_error = v(stats.dropped_error);
-  view.completions_discarded = v(stats.completions_discarded);
-  view.parked = v(stats.parked);
-  view.replayed = v(stats.replayed);
-  view.bytes_in = v(stats.bytes_in);
-  view.bytes_out = v(stats.bytes_out);
-  view.wakeups = v(stats.wakeups);
+  serve::load_counters(view, stats);
   view.lag = stats.loop_lag.snapshot();
   return view;
 }
@@ -600,22 +568,8 @@ LoopStatsView snapshot_loop_stats(const EventLoopStats& stats) {
 std::string render_loop_stats(const LoopStatsView& view,
                               const std::string& prefix) {
   std::ostringstream os;
-  os << prefix << "connections " << view.connections << '\n'
-     << prefix << "accepted " << view.accepted << '\n'
-     << prefix << "rejected_at_capacity " << view.rejected_at_capacity << '\n'
-     << prefix << "closed " << view.closed << '\n'
-     << prefix << "commands " << view.commands << '\n'
-     << prefix << "reads_suspended " << view.reads_suspended << '\n'
-     << prefix << "dropped_slow " << view.dropped_slow << '\n'
-     << prefix << "dropped_error " << view.dropped_error << '\n'
-     << prefix << "completions_discarded " << view.completions_discarded
-     << '\n'
-     << prefix << "parked " << view.parked << '\n'
-     << prefix << "replayed " << view.replayed << '\n'
-     << prefix << "bytes_in " << view.bytes_in << '\n'
-     << prefix << "bytes_out " << view.bytes_out << '\n'
-     << prefix << "wakeups " << view.wakeups << '\n'
-     << prefix << "lag_p50_us " << view.lag.percentile(50) << '\n'
+  serve::render_counters(os, prefix, view);
+  os << prefix << "lag_p50_us " << view.lag.percentile(50) << '\n'
      << prefix << "lag_p95_us " << view.lag.percentile(95) << '\n'
      << prefix << "lag_p99_us " << view.lag.percentile(99) << '\n';
   return os.str();

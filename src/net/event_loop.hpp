@@ -32,10 +32,10 @@
 /// mutex-guarded vector plus an eventfd the loop sleeps on — so routing
 /// never blocks the loop and the loop never blocks routing.  Cold LOADs and
 /// GENs are queued too, so a cold-session storm cannot stall every
-/// connection behind one build; while one is building, the connection's
-/// later commands park (Connection::barrier) and replay once the
-/// completion lands, preserving pipelined LOAD→ROUTE semantics and
-/// response order.
+/// connection behind one build; while one is building (or a PIN is
+/// deriving), the connection's later commands park (Connection::barrier)
+/// and replay once the completion lands, preserving pipelined LOAD→ROUTE
+/// and PIN→COMMIT semantics and response order.
 ///
 /// Backpressure: each connection's backlog (unwritten + parked response
 /// bytes, see Connection) is compared against two marks.  Past
@@ -89,30 +89,36 @@ struct EventLoopOptions {
   FrameParser::Options parser{};
 };
 
-/// Counters the loop maintains; atomics so tests and monitoring threads can
-/// read them while the loop runs.  Exported verbatim into the STATS body
-/// (as `loop_*` keys) through RoutingService::set_extra_stats, so TCP
-/// clients see loop health next to the service counters.
-struct EventLoopStats {
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> rejected_at_capacity{0};
-  std::atomic<std::uint64_t> closed{0};
-  std::atomic<std::uint64_t> commands{0};
-  std::atomic<std::uint64_t> reads_suspended{0};  ///< suspension *events*
-  std::atomic<std::uint64_t> dropped_slow{0};     ///< hard-cap drops
-  std::atomic<std::uint64_t> dropped_error{0};    ///< read/write errors
-  std::atomic<std::uint64_t> completions_discarded{0};  ///< conn died first
-  /// Commands parked on a connection (backpressure or a LOAD barrier) and
-  /// parked commands later replayed by settle(); parked >= replayed, the
-  /// difference is what is parked right now plus what died parked.
-  std::atomic<std::uint64_t> parked{0};
-  std::atomic<std::uint64_t> replayed{0};
-  std::atomic<std::uint64_t> bytes_in{0};   ///< recv()'d payload bytes
-  std::atomic<std::uint64_t> bytes_out{0};  ///< send()'d payload bytes
-  std::atomic<std::uint64_t> wakeups{0};    ///< epoll batches processed
-  /// Live connection gauge — a dedicated atomic rather than conns_.size()
-  /// because the STATS render runs on whatever thread asked, not the loop.
-  std::atomic<std::uint64_t> connections{0};
+/// The loop's counters, in STATS order.  Exported into the STATS body (as
+/// `loop_*` keys) through RoutingService::set_extra_stats, so TCP clients
+/// see loop health next to the service counters.
+#define GCR_LOOP_COUNTERS(X)                                               \
+  /* Live connection gauge — a dedicated atomic rather than conns_.size()  \
+     because the STATS render runs on whatever thread asked, not the       \
+     loop. */                                                              \
+  X(connections)                                                           \
+  X(accepted)                                                              \
+  X(rejected_at_capacity)                                                  \
+  X(closed)                                                                \
+  X(commands)                                                              \
+  X(reads_suspended)       /* suspension *events* */                       \
+  X(dropped_slow)          /* hard-cap drops */                            \
+  X(dropped_error)         /* read/write errors */                         \
+  X(completions_discarded) /* conn died first */                           \
+  /* Commands parked on a connection (backpressure or an ordering barrier) \
+     and parked commands later replayed by settle(); parked >= replayed,   \
+     the difference is what is parked right now plus what died parked. */  \
+  X(parked)                                                                \
+  X(replayed)                                                              \
+  X(bytes_in)  /* recv()'d payload bytes */                                \
+  X(bytes_out) /* send()'d payload bytes */                                \
+  X(wakeups)   /* epoll batches processed */
+
+GCR_COUNTER_TABLE(LoopCounters, GCR_LOOP_COUNTERS)
+
+/// The loop's live counters; atomics so tests and monitoring threads can
+/// read them while the loop runs.
+struct EventLoopStats : LoopCounters<serve::Counter> {
   /// Wall-clock per epoll batch (event processing, not the sleep),
   /// microseconds: the loop's own responsiveness.  A fat tail here means
   /// something is doing expensive work on the loop thread.
@@ -123,21 +129,7 @@ struct EventLoopStats {
 /// not add, but their snapshots do: a ReactorPool sums one view per loop
 /// into the aggregated `loop_*` block while rendering each view verbatim
 /// as that loop's `loop<i>_*` shard.
-struct LoopStatsView {
-  std::uint64_t connections = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_at_capacity = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t commands = 0;
-  std::uint64_t reads_suspended = 0;
-  std::uint64_t dropped_slow = 0;
-  std::uint64_t dropped_error = 0;
-  std::uint64_t completions_discarded = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t wakeups = 0;
+struct LoopStatsView : LoopCounters<std::uint64_t> {
   serve::Histogram::Snapshot lag{};
 
   /// Folds \p other into this view: counters sum, lag histograms merge
@@ -200,9 +192,6 @@ class EventLoop {
   void begin_shutdown();
   void force_close_all();
   void update_interest(Connection& conn);
-  /// Renders the `loop_* <value>` lines appended to the STATS body.
-  /// Reads only atomics — safe from any thread while the loop runs.
-  [[nodiscard]] std::string render_loop_stats() const;
 
   serve::RoutingService& service_;
   EventLoopOptions opts_;

@@ -47,15 +47,14 @@ DispatchResult submit_route(RoutingService& service, RouteRequest req,
 /// Queues a pin-family request.  The connection's token is the pin owner:
 /// pointer identity gates every later mutation, and the transport's
 /// release_pins call frees the pins when the connection ends.
-DispatchResult submit_pin(RoutingService& service, PinRequest req,
-                          const Owner& owner, Reply reply) {
+void submit_pin(RoutingService& service, PinRequest req, const Owner& owner,
+                Reply reply) {
   const PinRequest::Op op = req.op;
   req.owner = owner;
   service.submit_pin(std::move(req),
                      [reply = std::move(reply), op](PinResponse resp) {
                        reply(format_pin_response(resp, op), true);
                      });
-  return queued();
 }
 
 }  // namespace
@@ -112,9 +111,8 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
         req.synth = [gen] { return generate_workload_text(gen); };
         req.cancel = owner;
         service.submit_load(
-            std::move(req), [&service, kind = gen.kind,
-                             reply = std::move(reply)](LoadResponse resp) {
-              service.record_gen(resp.ok);
+            std::move(req),
+            [kind = gen.kind, reply = std::move(reply)](LoadResponse resp) {
               reply(resp.ok ? format_gen_ok(*resp.session, resp.cache_hit,
                                             kind)
                             : format_err(resp.error),
@@ -137,7 +135,8 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
           preq.key = rc.session_key;
           preq.nets = rc.nets;
           preq.wire_halo = rc.opts.wire_halo;
-          return submit_pin(service, std::move(preq), owner, std::move(reply));
+          submit_pin(service, std::move(preq), owner, std::move(reply));
+          return queued();
         }
         return submit_route(service, to_request(rc), owner, received,
                             std::move(reply), format_route_response);
@@ -171,8 +170,11 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
       case CommandKind::kCommit:
       case CommandKind::kUncommit:
       case CommandKind::kSave:
-        return submit_pin(service, parse_pin_command(cmd.kind, cmd.args),
-                          owner, std::move(reply));
+        submit_pin(service, parse_pin_command(cmd.kind, cmd.args), owner,
+                   std::move(reply));
+        // PIN is an ordering barrier like LOAD and GEN: a pipelined
+        // `COMMIT <handle>` needs the derived pin registered at admission.
+        return queued(/*barrier=*/cmd.kind == CommandKind::kPin);
       case CommandKind::kBlank:  // FrameParser never emits blank lines
       case CommandKind::kUnknown:
         break;

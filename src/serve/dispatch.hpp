@@ -34,9 +34,9 @@ struct DispatchResult {
   };
   Kind kind = Kind::kInline;
   std::string frame;
-  /// kQueued LOAD/GEN: later commands of this connection must wait for the
-  /// final reply — a pipelined `LOAD …\nROUTE <key>` needs the session to
-  /// exist at the ROUTE's admission.
+  /// kQueued LOAD/GEN/PIN: later commands of this connection must wait for
+  /// the final reply — a pipelined `LOAD …\nROUTE <key>` needs the session
+  /// to exist at the ROUTE's admission, `PIN …\nCOMMIT <handle>` the pin.
   bool barrier = false;
 };
 

@@ -41,20 +41,20 @@
 
 namespace gcr::serve {
 
+/// A point-in-time view of one live FairQueue shard, for STATS and tests.
+struct QueueShardStats {
+  std::string key;
+  std::size_t depth = 0;        ///< items queued now
+  std::uint64_t enqueued = 0;   ///< admitted since the shard went live
+  std::uint64_t served = 0;     ///< dequeued since the shard went live
+  std::uint32_t weight = 1;
+  std::uint64_t head_wait_us = 0;  ///< how long the front item has waited
+};
+
 template <typename T>
 class FairQueue {
  public:
   using Clock = std::chrono::steady_clock;
-
-  /// A point-in-time view of one live shard, for STATS and tests.
-  struct ShardStats {
-    std::string key;
-    std::size_t depth = 0;        ///< items queued now
-    std::uint64_t enqueued = 0;   ///< admitted since the shard went live
-    std::uint64_t served = 0;     ///< dequeued since the shard went live
-    std::uint32_t weight = 1;
-    std::uint64_t head_wait_us = 0;  ///< how long the front item has waited
-  };
 
   explicit FairQueue(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -180,14 +180,14 @@ class FairQueue {
   }
 
   /// Snapshots every live shard, in ring (service) order.
-  [[nodiscard]] std::vector<ShardStats> shard_stats() const {
+  [[nodiscard]] std::vector<QueueShardStats> shard_stats() const {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto now = Clock::now();
-    std::vector<ShardStats> out;
+    std::vector<QueueShardStats> out;
     out.reserve(ring_.size());
     for (const auto& it : ring_) {
       const Shard& s = it->second;
-      ShardStats st;
+      QueueShardStats st;
       st.key = it->first;
       st.depth = s.items.size();
       st.enqueued = s.enqueued;

@@ -5,9 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "serve/fair_queue.hpp"
 #include "serve/trace.hpp"
 
 /// \file metrics.hpp
@@ -16,9 +19,9 @@
 /// buckets are lock-free atomics (touched on every request); percentile
 /// queries — rare, operator driven — walk a bucket snapshot.
 ///
-/// LatencyWindow (the original exact-sample mutexed ring) is retained for
-/// offline consumers and differential tests, but is no longer on the
-/// service hot path.
+/// LatencyWindow (the original exact-sample mutexed ring) is not on the
+/// service hot path.  It is kept as the exact reference that the histogram
+/// test and bench_metrics compare Histogram against.
 
 namespace gcr::serve {
 
@@ -66,63 +69,108 @@ class LatencyWindow {
   std::uint64_t count_ = 0;
 };
 
-/// Aggregate counters for one RoutingService instance.
-struct ServiceMetrics {
-  std::atomic<std::uint64_t> requests_submitted{0};
-  std::atomic<std::uint64_t> requests_ok{0};
-  std::atomic<std::uint64_t> requests_rejected{0};   ///< queue full
-  std::atomic<std::uint64_t> requests_expired{0};    ///< deadline passed
-  std::atomic<std::uint64_t> requests_cancelled{0};
-  std::atomic<std::uint64_t> requests_not_found{0};  ///< unknown session key
-  std::atomic<std::uint64_t> requests_errored{0};    ///< routing threw
-  std::atomic<std::uint64_t> nets_routed{0};
-  std::atomic<std::uint64_t> nets_failed{0};
-  /// LOAD and GEN jobs queued on the worker pool — every cold LOAD and
-  /// every GEN, on every transport (resident LOADs answer inline).
-  std::atomic<std::uint64_t> loads_offloaded{0};
-  std::atomic<std::uint64_t> loads_ok{0};
-  std::atomic<std::uint64_t> loads_failed{0};  ///< parse error / rejected
-  /// OPTIMIZE runs completed (kOk) and the total rip-up passes they ran —
-  /// passes/run is the convergence-speed dashboard number.
-  std::atomic<std::uint64_t> optimizes_ok{0};
-  std::atomic<std::uint64_t> optimize_passes{0};
-  /// Pipeline stages (DETAIL/CONGEST/VERIFY/SVG) completed, split by how:
-  /// served from the stage cache vs. executed on a worker vs. failed.
-  std::atomic<std::uint64_t> stages_ok{0};
-  std::atomic<std::uint64_t> stages_failed{0};
-  /// Server-side GEN workload syntheses (materialized sessions).
-  std::atomic<std::uint64_t> gens_ok{0};
-  std::atomic<std::uint64_t> gens_failed{0};
-  /// Session lifecycle: pins derived/claimed, released (UNPIN + disconnect
-  /// auto-release), restored from snapshots at startup, and the mutation
-  /// ops (COMMIT/UNCOMMIT/REROUTE/SAVE) split by outcome.
-  std::atomic<std::uint64_t> pins_created{0};
-  std::atomic<std::uint64_t> pins_released{0};
-  std::atomic<std::uint64_t> pins_restored{0};
-  std::atomic<std::uint64_t> pin_ops_ok{0};
-  std::atomic<std::uint64_t> pin_ops_failed{0};
-  std::atomic<std::uint64_t> pin_saves{0};
-  /// Snapshots written by the periodic background sweep and the shutdown
-  /// final SAVE (--snapshot-interval-s), as opposed to explicit SAVEs.
-  std::atomic<std::uint64_t> pin_autosaves{0};
+/// Counter tables.  Each counter is named once, in an X-macro list
+/// `LIST(X)` that calls `X(name)` per counter in STATS order.
+/// GCR_COUNTER_TABLE(Table, LIST) turns the list into
+/// `template <typename T> struct Table` with one `T name{}` member per
+/// counter plus an `each` visitor.  `Table<Counter>` is the live storage —
+/// a bump is one relaxed `fetch_add` on the member — and
+/// `Table<std::uint64_t>` is its plain-value snapshot.  The functions below
+/// load, sum and render any table through `each`.
+#define GCR_COUNTER_MEMBER(name) T name{};
+#define GCR_COUNTER_VISIT(name) f(#name, tables.name...);
+#define GCR_COUNTER_TABLE(Table, LIST)                          \
+  template <typename T>                                         \
+  struct Table {                                                \
+    LIST(GCR_COUNTER_MEMBER)                                    \
+    /* Calls f(name, tables.<name>...) per counter, in order. */ \
+    template <typename F, typename... Tables>                   \
+    static void each(F&& f, Tables&... tables) {                \
+      LIST(GCR_COUNTER_VISIT)                                   \
+    }                                                           \
+  };
+
+using Counter = std::atomic<std::uint64_t>;
+
+/// Copies every counter of \p live into \p out, at relaxed order.
+template <typename Values, typename Live>
+void load_counters(Values& out, const Live& live) {
+  Values::each(
+      [](std::string_view, std::uint64_t& v, const Counter& c) {
+        v = c.load(std::memory_order_relaxed);
+      },
+      out, live);
+}
+
+/// Adds every counter of \p from into \p into.
+template <typename Values>
+void add_counters(Values& into, const Values& from) {
+  Values::each([](std::string_view, std::uint64_t& a,
+                  std::uint64_t b) { a += b; },
+               into, from);
+}
+
+/// Writes one `<prefix><name> <value>` STATS line per counter.
+template <typename Values>
+void render_counters(std::ostream& os, std::string_view prefix,
+                     const Values& values) {
+  Values::each(
+      [&](std::string_view name, std::uint64_t v) {
+        os << prefix << name << ' ' << v << '\n';
+      },
+      values);
+}
+
+/// The service's counters, in STATS order.
+#define GCR_SERVICE_COUNTERS(X)                                            \
+  X(requests_submitted)                                                    \
+  X(requests_ok)                                                           \
+  X(requests_rejected)  /* queue full */                                   \
+  X(requests_expired)   /* deadline passed */                              \
+  X(requests_cancelled)                                                    \
+  X(requests_not_found) /* unknown session key */                          \
+  X(requests_errored)   /* routing threw */                                \
+  X(nets_routed)                                                           \
+  X(nets_failed)                                                           \
+  /* LOAD and GEN jobs queued on the worker pool — every cold LOAD and     \
+     every GEN, on every transport (resident LOADs answer inline). */      \
+  X(loads_offloaded)                                                       \
+  X(loads_ok)                                                              \
+  X(loads_failed) /* parse error / rejected */                             \
+  /* OPTIMIZE runs completed (kOk) and the total rip-up passes they ran —  \
+     passes/run is the convergence-speed dashboard number. */              \
+  X(optimizes_ok)                                                          \
+  X(optimize_passes)                                                       \
+  /* Pipeline stages (DETAIL/CONGEST/VERIFY/SVG) completed or failed. */   \
+  X(stages_ok)                                                             \
+  X(stages_failed)                                                         \
+  /* Server-side GEN workload syntheses (materialized sessions). */        \
+  X(gens_ok)                                                               \
+  X(gens_failed)                                                           \
+  /* Session lifecycle: pins derived/claimed, released (UNPIN + disconnect \
+     auto-release), restored from snapshots at startup, and the mutation   \
+     ops (COMMIT/UNCOMMIT/REROUTE/SAVE) split by outcome. */               \
+  X(pins_created)                                                          \
+  X(pins_released)                                                         \
+  X(pins_restored)                                                         \
+  X(pin_ops_ok)                                                            \
+  X(pin_ops_failed)                                                        \
+  X(pin_saves)                                                             \
+  /* Snapshots written by the periodic background sweep and the shutdown   \
+     final SAVE (--snapshot-interval-s), as opposed to explicit SAVEs. */  \
+  X(pin_autosaves)
+
+GCR_COUNTER_TABLE(ServiceCounters, GCR_SERVICE_COUNTERS)
+
+/// Live metrics for one RoutingService instance.
+struct ServiceMetrics : ServiceCounters<Counter> {
   /// Lock-free log2 histograms — recorded on every request with zero
   /// mutexes (Histogram::record is three relaxed atomic adds).
-  Histogram latency;     ///< enqueue -> response, microseconds (all verbs)
+  Histogram latency;     ///< enqueue -> response, us; route family + pins
   Histogram queue_wait;  ///< enqueue -> dequeue, microseconds
   /// Per-verb latency shards: a microsecond STATS render and a multi-second
   /// OPTIMIZE no longer share one distribution.
   std::array<Histogram, kVerbKinds> verb_latency{};
-};
-
-/// One live fair-queue shard in a snapshot: depth and starvation evidence
-/// for a key with work currently queued (see FairQueue::shard_stats).
-/// Rendered positionally (`queue_shard<i>_*`) — STATS values must be
-/// numeric, so the key itself stays out of the text.
-struct QueueShardSnapshot {
-  std::size_t depth = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t served = 0;
-  std::uint64_t head_wait_us = 0;
 };
 
 /// Per-verb latency digest in a snapshot (percentiles are log2-bucket upper
@@ -134,33 +182,9 @@ struct VerbLatencySnapshot {
   std::uint64_t p99_us = 0;
 };
 
-/// One point-in-time view, cheap to format.
-struct MetricsSnapshot {
-  std::uint64_t requests_submitted = 0;
-  std::uint64_t requests_ok = 0;
-  std::uint64_t requests_rejected = 0;
-  std::uint64_t requests_expired = 0;
-  std::uint64_t requests_cancelled = 0;
-  std::uint64_t requests_not_found = 0;
-  std::uint64_t requests_errored = 0;
-  std::uint64_t nets_routed = 0;
-  std::uint64_t nets_failed = 0;
-  std::uint64_t loads_offloaded = 0;
-  std::uint64_t loads_ok = 0;
-  std::uint64_t loads_failed = 0;
-  std::uint64_t optimizes_ok = 0;
-  std::uint64_t optimize_passes = 0;
-  std::uint64_t stages_ok = 0;
-  std::uint64_t stages_failed = 0;
-  std::uint64_t gens_ok = 0;
-  std::uint64_t gens_failed = 0;
-  std::uint64_t pins_created = 0;
-  std::uint64_t pins_released = 0;
-  std::uint64_t pins_restored = 0;
-  std::uint64_t pin_ops_ok = 0;
-  std::uint64_t pin_ops_failed = 0;
-  std::uint64_t pin_saves = 0;
-  std::uint64_t pin_autosaves = 0;
+/// One point-in-time view, cheap to format: the counters plus the gauges
+/// and percentiles read from the queue, caches and histograms.
+struct MetricsSnapshot : ServiceCounters<std::uint64_t> {
   std::size_t pins_active = 0;
   std::uint64_t stage_cache_hits = 0;
   std::uint64_t stage_cache_misses = 0;
@@ -184,7 +208,7 @@ struct MetricsSnapshot {
   std::size_t queue_shards = 0;
   std::uint64_t queue_fair_rounds = 0;
   std::uint64_t queue_oldest_wait_us = 0;
-  std::vector<QueueShardSnapshot> queue_shard_stats;
+  std::vector<QueueShardStats> queue_shard_stats;
   std::size_t workers = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

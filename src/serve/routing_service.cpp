@@ -182,33 +182,17 @@ void RoutingService::submit(RouteRequest req, RouteCallback done) {
   }
 
   Job job;
+  job.verb = classify_verb(req);
+  if (req.received != std::chrono::steady_clock::time_point{} &&
+      req.received <= now) {
+    job.trace.parse_us = micros_between(req.received, now);
+  }
   job.req = std::move(req);
   job.session = std::move(session);
   job.done = std::move(done);
-  job.submitted = now;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.verb = classify_verb(job.req);
-  if (job.req.received != std::chrono::steady_clock::time_point{} &&
-      job.req.received <= now) {
-    job.trace.parse_us = micros_between(job.req.received, now);
-  }
-  // Admission work (session resolve, net-name resolution) is the span
-  // between the origin and here; the queue span starts at this stamp.
-  job.trace.enqueue_us =
-      micros_between(now, std::chrono::steady_clock::now());
   // Shard by session: fair dispatch is per layout, so one session's burst
-  // queues behind itself instead of in front of everyone else.  The key is
-  // copied out before the push — try_push moves the job (and the string
-  // the key aliases) on success.
-  const std::string shard = job.req.session_key;
-  if (!queue_.try_push(shard, std::move(job))) {
-    // try_push moves only on success, so the rejected job still owns its
-    // callback and can deliver the rejection.
-    metrics_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    RouteResponse resp;
-    resp.status = RouteStatus::kRejected;
-    job.done(std::move(resp));
-  }
+  // queues behind itself instead of in front of everyone else.
+  admit(job, now, job.req.session_key);
 }
 
 RouteResponse RoutingService::route(RouteRequest req) {
@@ -230,70 +214,41 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
                     "pin request without a connection identity");
   }
 
-  std::shared_ptr<PinnedSession> pin = pins_.find(req.key);
-  if (pin == nullptr && req.op == PinRequest::Op::kPin) {
-    // Derive from a cached session.  The expensive copy-on-pin runs on a
-    // worker; no ticket — the pin does not exist yet, so nothing to order
-    // against (and the client cannot address it before the reply names
-    // the handle).
-    std::shared_ptr<const LayoutSession> session = cache_.find(req.key);
-    if (session == nullptr) return fail_now(RouteStatus::kSessionNotFound);
-    Job job;
-    job.kind = Job::Kind::kPin;
-    job.verb = VerbKind::kPin;
-    job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-    job.pin_req = std::move(req);
-    job.session = std::move(session);
-    job.pin_done = std::move(done);
-    job.submitted = now;
-    job.trace.enqueue_us =
-        micros_between(now, std::chrono::steady_clock::now());
-    // Derive shards under the *base session* key: the handle does not
-    // exist yet, and the copy-on-pin competes with that session's routes.
-    const std::string shard = job.pin_req.key;
-    if (!queue_.try_push(shard, std::move(job))) {
-      metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-      PinResponse resp;
-      resp.status = RouteStatus::kRejected;
-      job.pin_done(std::move(resp));
-    }
-    return;
-  }
-  if (pin == nullptr) {
-    return fail_now(RouteStatus::kSessionNotFound,
-                    "no pin '" + req.key + "'");
-  }
-  // Advisory ownership pre-check (claims excepted — claiming an unowned
-  // pin is the point; system sweeps too — the autosaver snapshots pins it
-  // does not own); re-checked authoritatively on the worker once this
-  // op's turn comes up.
-  if (req.op != PinRequest::Op::kPin && !req.system &&
-      !pins_.verify(pin, req.owner)) {
-    return fail_now(RouteStatus::kError, "pin '" + req.key +
-                                             "' is owned by another "
-                                             "connection");
-  }
   Job job;
   job.kind = Job::Kind::kPin;
   job.verb = VerbKind::kPin;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.pin = std::move(pin);
-  job.pin_ticket = job.pin->acquire_ticket();
+  job.pin = pins_.find(req.key);
+  std::string shard;
+  if (job.pin == nullptr && req.op == PinRequest::Op::kPin) {
+    // Derive from a cached session.  The expensive copy-on-pin runs on a
+    // worker; no ticket — the pin does not exist yet, so nothing to order
+    // against.  It shards under the *base session* key: the handle does
+    // not exist yet, and the copy-on-pin competes with that session's
+    // routes.
+    job.session = cache_.find(req.key);
+    if (job.session == nullptr) return fail_now(RouteStatus::kSessionNotFound);
+    shard = req.key;
+  } else if (job.pin == nullptr) {
+    return fail_now(RouteStatus::kSessionNotFound,
+                    "no pin '" + req.key + "'");
+  } else if (req.op != PinRequest::Op::kPin && !req.system &&
+             !pins_.verify(job.pin, req.owner)) {
+    // Advisory ownership pre-check (claims excepted — claiming an unowned
+    // pin is the point; system sweeps too — the autosaver snapshots pins
+    // it does not own); re-checked authoritatively on the worker once this
+    // op's turn comes up.
+    return fail_now(RouteStatus::kError, "pin '" + req.key +
+                                             "' is owned by another "
+                                             "connection");
+  } else {
+    // Mutations shard by handle: the pin's FIFO ticket chain and its queue
+    // shard agree on order, and a busy pin cannot starve other sessions.
+    job.pin_ticket = job.pin->acquire_ticket();
+    shard = job.pin->handle;
+  }
   job.pin_req = std::move(req);
   job.pin_done = std::move(done);
-  job.submitted = now;
-  job.trace.enqueue_us =
-      micros_between(now, std::chrono::steady_clock::now());
-  // Mutations shard by handle: the pin's FIFO ticket chain and its queue
-  // shard agree on order, and a busy pin cannot starve other sessions.
-  const std::string shard = job.pin->handle;
-  if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-    job.pin->abort_turn(job.pin_ticket);
-    PinResponse resp;
-    resp.status = RouteStatus::kRejected;
-    job.pin_done(std::move(resp));
-  }
+  admit(job, now, std::move(shard));
 }
 
 PinResponse RoutingService::pin_op(PinRequest req) {
@@ -368,32 +323,59 @@ void RoutingService::submit_load(LoadRequest req, LoadCallback done) {
   Job job;
   job.kind = Job::Kind::kLoad;
   job.verb = req.synth ? VerbKind::kGen : VerbKind::kLoad;
-  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.load = std::move(req);
-  job.load_done = std::move(done);
-  job.submitted = std::chrono::steady_clock::now();
   // The load key IS the session content key, so a cold LOAD queues in the
   // same shard as that session's routes — fair against other sessions,
   // ordered within its own.  All GENs share one shard: synthesis has no
   // session identity yet, and pooling them keeps a generation storm to one
   // DRR turn per round.
-  const std::string shard = job.load.synth ? "gen" : job.load.key;
-  if (!queue_.try_push(shard, std::move(job))) {
-    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-    LoadResponse resp;
-    resp.error = "rejected";
-    job.load_done(std::move(resp));
+  std::string shard = req.synth ? "gen" : req.key;
+  job.load = std::move(req);
+  job.load_done = std::move(done);
+  admit(job, std::chrono::steady_clock::now(), std::move(shard));
+}
+
+void RoutingService::admit(Job& job,
+                           std::chrono::steady_clock::time_point now,
+                           std::string shard) {
+  job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
+  job.submitted = now;
+  // Admission work (session resolve, net-name resolution) is the span
+  // between the origin and here; the queue span starts at this stamp.
+  job.trace.enqueue_us =
+      micros_between(now, std::chrono::steady_clock::now());
+  // try_push moves only on success, so a rejected job still owns its
+  // callback and can deliver the rejection.
+  if (queue_.try_push(shard, std::move(job))) return;
+  switch (job.kind) {
+    case Job::Kind::kRoute: {
+      metrics_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
+      RouteResponse resp;
+      resp.status = RouteStatus::kRejected;
+      job.done(std::move(resp));
+      return;
+    }
+    case Job::Kind::kPin: {
+      metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
+      if (job.pin != nullptr) job.pin->abort_turn(job.pin_ticket);
+      PinResponse resp;
+      resp.status = RouteStatus::kRejected;
+      job.pin_done(std::move(resp));
+      return;
+    }
+    case Job::Kind::kLoad: {
+      metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
+      if (job.load.synth) {
+        metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
+      }
+      LoadResponse resp;
+      resp.error = "rejected";
+      job.load_done(std::move(resp));
+      return;
+    }
   }
 }
 
 void RoutingService::run_load_job(Job& job) {
-  // Deliberately not recorded into the *global* latency/queue-wait
-  // histograms: those are what STATS reports as routing percentiles, and
-  // one cold environment build would distort p95/p99 for every dashboard
-  // reading them.  LOAD/GEN latency lives in its own verb shard (and in
-  // the slow-request ring) instead.
-  job.trace.dequeue_us =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
   LoadResponse resp;
   if (job.load.cancel &&
       job.load.cancel->load(std::memory_order_relaxed)) {
@@ -409,28 +391,21 @@ void RoutingService::run_load_job(Job& job) {
                                    &resp.cache_hit);
       }
       resp.ok = true;
-      metrics_.loads_ok.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       resp.error = e.what();
     }
   }
-  if (!resp.ok) {
-    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  RequestTrace& trace = job.trace;
-  const std::uint64_t total =
+  job.trace.exec_us =
       micros_between(job.submitted, std::chrono::steady_clock::now());
-  trace.exec_us = total;
-  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
-  trace.total_us = total;
-  metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
-  SlowRecord rec;
-  rec.id = job.id;
-  rec.verb = job.verb;
-  rec.session = resp.session != nullptr ? resp.session->key : job.load.key;
-  rec.status = resp.ok ? "ok" : "error";
-  rec.trace = std::move(trace);
-  slow_ring_.offer(std::move(rec));
+  (resp.ok ? metrics_.loads_ok : metrics_.loads_failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (job.load.synth) {
+    (resp.ok ? metrics_.gens_ok : metrics_.gens_failed)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  record_completion(job, resp.ok ? "ok" : "error",
+                    resp.session != nullptr ? resp.session->key
+                                            : job.load.key);
   job.load_done(std::move(resp));
 }
 
@@ -438,163 +413,137 @@ void RoutingService::worker_loop() {
   for (;;) {
     std::optional<Job> job = queue_.pop();
     if (!job) return;  // closed and drained
-
-    if (job->kind == Job::Kind::kLoad) {
-      run_load_job(*job);
-      continue;
-    }
-    if (job->kind == Job::Kind::kPin) {
-      run_pin_job(*job);
-      continue;
-    }
-
-    const auto dequeued = std::chrono::steady_clock::now();
-    job->trace.dequeue_us = micros_between(job->submitted, dequeued);
-    RouteResponse resp;
-    resp.queue_wait = std::chrono::microseconds(
-        micros_between(job->submitted, dequeued));
-    metrics_.queue_wait.record(
-        static_cast<std::uint64_t>(resp.queue_wait.count()));
-
-    if (job->req.cancel && job->req.cancel->load(std::memory_order_relaxed)) {
-      resp.status = RouteStatus::kCancelled;
-      metrics_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-      finish(*job, std::move(resp));
-      continue;
-    }
-    if (job->req.deadline != std::chrono::steady_clock::time_point{} &&
-        dequeued > job->req.deadline) {
-      resp.status = RouteStatus::kExpired;
-      metrics_.requests_expired.fetch_add(1, std::memory_order_relaxed);
-      finish(*job, std::move(resp));
-      continue;
-    }
-
-    if (job->req.stage.has_value()) {
-      run_stage_job(*job, resp);
-      finish(*job, std::move(resp));
-      continue;
-    }
-
-    try {
-      // The session's environment is injected, so this call performs no
-      // ObstacleIndex / EscapeLineSet construction — the cache already paid
-      // for both.  That holds for *sequential* mode too: the router copies
-      // the shared environment and absorbs routed nets with incremental
-      // commit_route updates instead of per-net rebuilds.
-      if (job->req.optimize) {
-        route::OptimizeOptions oopts;
-        oopts.steiner = job->req.opts.steiner;
-        oopts.wire_halo = job->req.opts.wire_halo;
-        if (job->req.optimize_passes > 0) {
-          oopts.max_passes = job->req.optimize_passes;
-        }
-        oopts.budget = job->req.optimize_budget;
-        oopts.deadline = job->req.deadline;
-        oopts.cancel = job->req.cancel;
-        // Per-pass sub-spans: wrap the caller's progress hook so every
-        // completed pass leaves a trace stamp (same origin as the spans).
-        {
-          const route::OptimizeProgress user = job->req.progress;
-          RequestTrace* trace = &job->trace;
-          const auto origin = job->submitted;
-          oopts.progress = [user, trace,
-                            origin](const route::OptimizePassStats& p) {
-            trace->subs.push_back(
-                {"pass" + std::to_string(p.pass),
-                 micros_between(origin, std::chrono::steady_clock::now())});
-            if (user) user(p);
-          };
-        }
-        const route::Optimizer optimizer(job->session->layout,
-                                         job->session->env);
-        job->trace.env_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        route::OptimizeReport report = optimizer.run(oopts);
-        job->trace.exec_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        if (report.cancelled) {
-          // The client vanished mid-run (pass-boundary check): nothing
-          // wants the result.  PASS lines already streamed are fine — the
-          // peer that would have read them is gone.
-          resp.status = RouteStatus::kCancelled;
-          metrics_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-          finish(*job, std::move(resp));
-          continue;
-        }
-        resp.result = std::move(report.result);
-        resp.passes = std::move(report.passes);
-        metrics_.optimizes_ok.fetch_add(1, std::memory_order_relaxed);
-        metrics_.optimize_passes.fetch_add(
-            resp.passes.empty() ? 0 : resp.passes.size() - 1,
-            std::memory_order_relaxed);
-      } else {
-        const route::NetlistRouter router(job->session->layout,
-                                          job->session->env);
-        job->req.opts.deadline = job->req.deadline;
-        job->req.opts.cancel = job->req.cancel;
-        job->trace.env_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        resp.result = router.route_all(job->req.opts);
-        job->trace.exec_us =
-            micros_between(job->submitted, std::chrono::steady_clock::now());
-        if (resp.result.cancelled) {
-          // Stopped between nets: the partial result must not be dumped,
-          // committed, or counted.  Attribute like the dequeue checks do.
-          const bool was_cancel =
-              job->req.cancel &&
-              job->req.cancel->load(std::memory_order_relaxed);
-          resp.result = {};
-          resp.status =
-              was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-          (was_cancel ? metrics_.requests_cancelled
-                      : metrics_.requests_expired)
-              .fetch_add(1, std::memory_order_relaxed);
-          finish(*job, std::move(resp));
-          continue;
-        }
+    job->trace.dequeue_us =
+        micros_between(job->submitted, std::chrono::steady_clock::now());
+    switch (job->kind) {
+      case Job::Kind::kRoute: {
+        RouteResponse resp;
+        run_route_job(*job, resp);
+        finish(*job, std::move(resp));
+        break;
       }
-      resp.session = job->session;
-      // The dump restriction: the subset that was routed, or — for a
-      // rip-up — the nets that were re-routed (the rest of the netlist was
-      // only the committed backdrop).
-      resp.nets = job->req.reroute ? job->req.opts.reroute
-                                   : job->req.opts.subset;
-      // Publish full-netlist results (ROUTE of everything, REROUTE — whose
-      // result carries the whole netlist around the rip-up set — and
-      // OPTIMIZE) as the session's committed routes.  The fingerprint in
-      // the snapshot re-keys the stage cache, so a mutated routing
-      // invalidates cached stage results while a byte-identical re-commit
-      // keeps them hot.  Subset ROUTEs never commit: their result holds
-      // only the requested nets.
-      if (job->req.optimize || job->req.reroute ||
-          job->req.opts.subset.empty()) {
-        job->session->routes.set(resp.result);
-      }
-      resp.status = RouteStatus::kOk;
-      metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      metrics_.nets_routed.fetch_add(resp.result.routed,
-                                     std::memory_order_relaxed);
-      metrics_.nets_failed.fetch_add(resp.result.failed,
-                                     std::memory_order_relaxed);
-    } catch (const std::exception& e) {
-      resp.status = RouteStatus::kError;
-      resp.error = e.what();
-      metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
+      case Job::Kind::kLoad:
+        run_load_job(*job);
+        break;
+      case Job::Kind::kPin:
+        run_pin_job(*job);
+        break;
     }
-    finish(*job, std::move(resp));
+  }
+}
+
+void RoutingService::mark_stopped(const Job& job, RouteResponse& resp) {
+  const bool cancelled =
+      job.req.cancel && job.req.cancel->load(std::memory_order_relaxed);
+  resp.status = cancelled ? RouteStatus::kCancelled : RouteStatus::kExpired;
+  (cancelled ? metrics_.requests_cancelled : metrics_.requests_expired)
+      .fetch_add(1, std::memory_order_relaxed);
+}
+
+void RoutingService::run_route_job(Job& job, RouteResponse& resp) {
+  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
+  metrics_.queue_wait.record(job.trace.dequeue_us);
+  if ((job.req.cancel && job.req.cancel->load(std::memory_order_relaxed)) ||
+      (job.req.deadline != std::chrono::steady_clock::time_point{} &&
+       std::chrono::steady_clock::now() > job.req.deadline)) {
+    return mark_stopped(job, resp);
+  }
+  if (job.req.stage.has_value()) return run_stage_job(job, resp);
+
+  try {
+    // The session's environment is injected, so this call performs no
+    // ObstacleIndex / EscapeLineSet construction — the cache already paid
+    // for both.  That holds for *sequential* mode too: the router copies
+    // the shared environment and absorbs routed nets with incremental
+    // commit_route updates instead of per-net rebuilds.
+    if (job.req.optimize) {
+      route::OptimizeOptions oopts;
+      oopts.steiner = job.req.opts.steiner;
+      oopts.wire_halo = job.req.opts.wire_halo;
+      if (job.req.optimize_passes > 0) {
+        oopts.max_passes = job.req.optimize_passes;
+      }
+      oopts.budget = job.req.optimize_budget;
+      oopts.deadline = job.req.deadline;
+      oopts.cancel = job.req.cancel;
+      // Per-pass sub-spans: wrap the caller's progress hook so every
+      // completed pass leaves a trace stamp (same origin as the spans).
+      {
+        const route::OptimizeProgress user = job.req.progress;
+        RequestTrace* trace = &job.trace;
+        const auto origin = job.submitted;
+        oopts.progress = [user, trace,
+                          origin](const route::OptimizePassStats& p) {
+          trace->subs.push_back(
+              {"pass" + std::to_string(p.pass),
+               micros_between(origin, std::chrono::steady_clock::now())});
+          if (user) user(p);
+        };
+      }
+      const route::Optimizer optimizer(job.session->layout,
+                                       job.session->env);
+      job.trace.env_us =
+          micros_between(job.submitted, std::chrono::steady_clock::now());
+      route::OptimizeReport report = optimizer.run(oopts);
+      job.trace.exec_us =
+          micros_between(job.submitted, std::chrono::steady_clock::now());
+      // The client vanished mid-run (pass-boundary check): nothing wants
+      // the result.  PASS lines already streamed are fine — the peer that
+      // would have read them is gone.
+      if (report.cancelled) return mark_stopped(job, resp);
+      resp.result = std::move(report.result);
+      resp.passes = std::move(report.passes);
+      metrics_.optimizes_ok.fetch_add(1, std::memory_order_relaxed);
+      metrics_.optimize_passes.fetch_add(
+          resp.passes.empty() ? 0 : resp.passes.size() - 1,
+          std::memory_order_relaxed);
+    } else {
+      const route::NetlistRouter router(job.session->layout,
+                                        job.session->env);
+      job.req.opts.deadline = job.req.deadline;
+      job.req.opts.cancel = job.req.cancel;
+      job.trace.env_us =
+          micros_between(job.submitted, std::chrono::steady_clock::now());
+      route::NetlistResult result = router.route_all(job.req.opts);
+      job.trace.exec_us =
+          micros_between(job.submitted, std::chrono::steady_clock::now());
+      // Stopped between nets: the partial result must not be dumped,
+      // committed, or counted.
+      if (result.cancelled) return mark_stopped(job, resp);
+      resp.result = std::move(result);
+    }
+    resp.session = job.session;
+    // The dump restriction: the subset that was routed, or — for a
+    // rip-up — the nets that were re-routed (the rest of the netlist was
+    // only the committed backdrop).
+    resp.nets = job.req.reroute ? job.req.opts.reroute : job.req.opts.subset;
+    // Publish full-netlist results (ROUTE of everything, REROUTE — whose
+    // result carries the whole netlist around the rip-up set — and
+    // OPTIMIZE) as the session's committed routes.  The fingerprint in
+    // the snapshot re-keys the stage cache, so a mutated routing
+    // invalidates cached stage results while a byte-identical re-commit
+    // keeps them hot.  Subset ROUTEs never commit: their result holds
+    // only the requested nets.
+    if (job.req.optimize || job.req.reroute || job.req.opts.subset.empty()) {
+      job.session->routes.set(resp.result);
+    }
+    resp.status = RouteStatus::kOk;
+    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    metrics_.nets_routed.fetch_add(resp.result.routed,
+                                   std::memory_order_relaxed);
+    metrics_.nets_failed.fetch_add(resp.result.failed,
+                                   std::memory_order_relaxed);
+  } catch (const std::exception& e) {
+    resp.status = RouteStatus::kError;
+    resp.error = e.what();
+    metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void RoutingService::run_pin_job(Job& job) {
-  const auto dequeued = std::chrono::steady_clock::now();
-  job.trace.dequeue_us = micros_between(job.submitted, dequeued);
   PinResponse resp;
-  resp.queue_wait =
-      std::chrono::microseconds(micros_between(job.submitted, dequeued));
-  metrics_.queue_wait.record(
-      static_cast<std::uint64_t>(resp.queue_wait.count()));
-
+  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
+  metrics_.queue_wait.record(job.trace.dequeue_us);
   if (job.pin == nullptr) {
     // Derive: copy-on-pin of the cached environment.  The layout is shared
     // with the base session via an aliasing pointer — the read-only entry
@@ -615,21 +564,30 @@ void RoutingService::run_pin_job(Job& job) {
       resp.status = RouteStatus::kError;
       resp.error = e.what();
     }
-    job.trace.exec_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
-    finish_pin(job, std::move(resp));
-    return;
+  } else {
+    job.pin->wait_turn(job.pin_ticket);
+    run_pin_op(job, resp);
+    job.pin->finish_turn(job.pin_ticket);
   }
+  job.trace.exec_us =
+      micros_between(job.submitted, std::chrono::steady_clock::now());
+  resp.latency =
+      record_completion(job, to_string(resp.status), job.pin_req.key);
+  (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
+      .fetch_add(1, std::memory_order_relaxed);
+  job.pin_done(std::move(resp));
+}
 
+void RoutingService::run_pin_op(Job& job, PinResponse& resp) {
   PinnedSession& pin = *job.pin;
-  pin.wait_turn(job.pin_ticket);
+  const PinRequest& req = job.pin_req;
   resp.handle = pin.handle;
   resp.base_key = pin.base_key;
-  if (job.pin_req.op == PinRequest::Op::kPin) {
+  if (req.op == PinRequest::Op::kPin) {
     // Claim (an existing handle — restored-unowned or idempotent re-claim).
     // Resolved here rather than at admission so a pipelined claim observes
     // the pin's state in submission order.
-    switch (pins_.claim(pin.handle, job.pin_req.owner, nullptr)) {
+    switch (pins_.claim(pin.handle, req.owner, nullptr)) {
       case PinRegistry::ClaimResult::kOk:
         resp.status = RouteStatus::kOk;
         resp.nets_total = pin.layout->nets().size();
@@ -644,34 +602,28 @@ void RoutingService::run_pin_job(Job& job) {
         resp.error = "pin '" + pin.handle + "' is owned by another connection";
         break;
     }
-  } else if (job.pin_req.system ? pins_.find(job.pin->handle) != job.pin
-                                : !pins_.verify(job.pin, job.pin_req.owner)) {
+    return;
+  }
+  if (req.system ? pins_.find(pin.handle) != job.pin
+                 : !pins_.verify(job.pin, req.owner)) {
     // The pin was released (disconnect or UNPIN racing ahead in another
     // claim cycle) between admission and this turn.  System sweeps skip the
     // ownership half of the check — the autosaver saves pins it does not
     // own — but still bail if the pin left the registry.
     resp.status = RouteStatus::kCancelled;
     resp.error = "pin released";
-  } else if (job.pin_req.op == PinRequest::Op::kUnpin) {
-    if (pins_.erase(pin.handle, job.pin_req.owner)) {
+    return;
+  }
+  if (req.op == PinRequest::Op::kUnpin) {
+    if (pins_.erase(pin.handle, req.owner)) {
       resp.status = RouteStatus::kOk;
       metrics_.pins_released.fetch_add(1, std::memory_order_relaxed);
     } else {
       resp.status = RouteStatus::kCancelled;
       resp.error = "pin released";
     }
-  } else {
-    run_pin_mutation(job, resp);
+    return;
   }
-  pin.finish_turn(job.pin_ticket);
-  job.trace.exec_us =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  finish_pin(job, std::move(resp));
-}
-
-void RoutingService::run_pin_mutation(Job& job, PinResponse& resp) {
-  PinnedSession& pin = *job.pin;
-  const PinRequest& req = job.pin_req;
   try {
     if (req.op == PinRequest::Op::kSave) {
       save_pin(pin, req.save_name, resp);
@@ -922,30 +874,6 @@ void RoutingService::restore_pins(const std::string& dir) {
   }
 }
 
-void RoutingService::finish_pin(Job& job, PinResponse&& resp) {
-  const std::uint64_t total =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  resp.latency = std::chrono::microseconds(total);
-  RequestTrace& trace = job.trace;
-  if (trace.dequeue_us < trace.enqueue_us) trace.dequeue_us = trace.enqueue_us;
-  if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
-  if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
-  trace.total_us = total;
-  metrics_.latency.record(total);
-  metrics_.verb_latency[static_cast<std::size_t>(VerbKind::kPin)].record(
-      total);
-  SlowRecord rec;
-  rec.id = job.id;
-  rec.verb = VerbKind::kPin;
-  rec.session = job.pin_req.key;
-  rec.status = to_string(resp.status);
-  rec.trace = trace;
-  slow_ring_.offer(std::move(rec));
-  (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
-      .fetch_add(1, std::memory_order_relaxed);
-  job.pin_done(std::move(resp));
-}
-
 void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
   const pipeline::StageOptions& sopts = *job.req.stage;
   try {
@@ -967,13 +895,7 @@ void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
       ropts.cancel = job.req.cancel;
       route::NetlistResult routed = router.route_all(ropts);
       if (routed.cancelled) {
-        const bool was_cancel =
-            job.req.cancel &&
-            job.req.cancel->load(std::memory_order_relaxed);
-        resp.status =
-            was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-        (was_cancel ? metrics_.requests_cancelled : metrics_.requests_expired)
-            .fetch_add(1, std::memory_order_relaxed);
+        mark_stopped(job, resp);
         metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -999,16 +921,8 @@ void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
                                        job.session->env, state->result,
                                        job.req.cancel, job.req.deadline};
       pipeline::StageOutcome out = pipeline::run_stage(ctx, sopts);
-      if (out.result == nullptr) {
-        // Stopped inside the engine: attribute it like the dequeue checks
-        // do — cancel token wins, otherwise it was the deadline.
-        const bool was_cancel =
-            job.req.cancel &&
-            job.req.cancel->load(std::memory_order_relaxed);
-        resp.status =
-            was_cancel ? RouteStatus::kCancelled : RouteStatus::kExpired;
-        (was_cancel ? metrics_.requests_cancelled : metrics_.requests_expired)
-            .fetch_add(1, std::memory_order_relaxed);
+      if (out.result == nullptr) {  // stopped inside the engine
+        mark_stopped(job, resp);
         metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -1033,11 +947,19 @@ void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
 }
 
 void RoutingService::finish(Job& job, RouteResponse&& resp) {
+  resp.latency =
+      record_completion(job, to_string(resp.status), job.req.session_key);
+  resp.trace = std::move(job.trace);
+  resp.traced = job.req.trace;
+  job.done(std::move(resp));
+}
+
+std::chrono::microseconds RoutingService::record_completion(
+    Job& job, std::string_view status, std::string session) {
   // One clock read produces both the reported latency and the trace's
   // total_us — the rendered span deltas sum to total_us exactly.
   const std::uint64_t total =
       micros_between(job.submitted, std::chrono::steady_clock::now());
-  resp.latency = std::chrono::microseconds(total);
   RequestTrace& trace = job.trace;
   // Early-out paths (cancel/expiry at dequeue, admission-stage errors) skip
   // some stamps; clamp forward so the chain stays monotone with zero-width
@@ -1046,54 +968,25 @@ void RoutingService::finish(Job& job, RouteResponse&& resp) {
   if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
   if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
   trace.total_us = total;
-  metrics_.latency.record(total);
+  // LOAD and GEN stay out of the aggregate histogram: STATS reports it as
+  // the routing percentiles, and one cold environment build would distort
+  // p95/p99 for every dashboard reading them.  Their latency lives in
+  // their own verb shard (and in the slow-request ring) instead.
+  if (job.kind != Job::Kind::kLoad) metrics_.latency.record(total);
   metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
   SlowRecord rec;
   rec.id = job.id;
   rec.verb = job.verb;
-  rec.session = job.req.session_key;
-  rec.status = to_string(resp.status);
+  rec.session = std::move(session);
+  rec.status = status;
   rec.trace = trace;
   slow_ring_.offer(std::move(rec));
-  resp.trace = std::move(trace);
-  resp.traced = job.req.trace;
-  job.done(std::move(resp));
+  return std::chrono::microseconds(total);
 }
 
 MetricsSnapshot RoutingService::snapshot() const {
   MetricsSnapshot s;
-  s.requests_submitted =
-      metrics_.requests_submitted.load(std::memory_order_relaxed);
-  s.requests_ok = metrics_.requests_ok.load(std::memory_order_relaxed);
-  s.requests_rejected =
-      metrics_.requests_rejected.load(std::memory_order_relaxed);
-  s.requests_expired =
-      metrics_.requests_expired.load(std::memory_order_relaxed);
-  s.requests_cancelled =
-      metrics_.requests_cancelled.load(std::memory_order_relaxed);
-  s.requests_not_found =
-      metrics_.requests_not_found.load(std::memory_order_relaxed);
-  s.requests_errored =
-      metrics_.requests_errored.load(std::memory_order_relaxed);
-  s.nets_routed = metrics_.nets_routed.load(std::memory_order_relaxed);
-  s.nets_failed = metrics_.nets_failed.load(std::memory_order_relaxed);
-  s.loads_offloaded = metrics_.loads_offloaded.load(std::memory_order_relaxed);
-  s.loads_ok = metrics_.loads_ok.load(std::memory_order_relaxed);
-  s.loads_failed = metrics_.loads_failed.load(std::memory_order_relaxed);
-  s.optimizes_ok = metrics_.optimizes_ok.load(std::memory_order_relaxed);
-  s.optimize_passes =
-      metrics_.optimize_passes.load(std::memory_order_relaxed);
-  s.stages_ok = metrics_.stages_ok.load(std::memory_order_relaxed);
-  s.stages_failed = metrics_.stages_failed.load(std::memory_order_relaxed);
-  s.gens_ok = metrics_.gens_ok.load(std::memory_order_relaxed);
-  s.gens_failed = metrics_.gens_failed.load(std::memory_order_relaxed);
-  s.pins_created = metrics_.pins_created.load(std::memory_order_relaxed);
-  s.pins_released = metrics_.pins_released.load(std::memory_order_relaxed);
-  s.pins_restored = metrics_.pins_restored.load(std::memory_order_relaxed);
-  s.pin_ops_ok = metrics_.pin_ops_ok.load(std::memory_order_relaxed);
-  s.pin_ops_failed = metrics_.pin_ops_failed.load(std::memory_order_relaxed);
-  s.pin_saves = metrics_.pin_saves.load(std::memory_order_relaxed);
-  s.pin_autosaves = metrics_.pin_autosaves.load(std::memory_order_relaxed);
+  load_counters(s, metrics_);
   s.pins_active = pins_.size();
   s.stage_cache_hits = stage_cache_.hits();
   s.stage_cache_misses = stage_cache_.misses();
@@ -1119,10 +1012,7 @@ MetricsSnapshot RoutingService::snapshot() const {
   s.queue_shards = queue_.shards();
   s.queue_fair_rounds = queue_.fair_rounds();
   s.queue_oldest_wait_us = queue_.oldest_wait_us();
-  for (const auto& sh : queue_.shard_stats()) {
-    s.queue_shard_stats.push_back(
-        {sh.depth, sh.enqueued, sh.served, sh.head_wait_us});
-  }
+  s.queue_shard_stats = queue_.shard_stats();
   s.workers = workers_.size();
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -322,11 +323,6 @@ class RoutingService {
   [[nodiscard]] pipeline::StageCache& stages() noexcept {
     return stage_cache_;
   }
-  /// GEN accounting: serve::dispatch reports each GEN job's outcome here.
-  void record_gen(bool ok) noexcept {
-    (ok ? metrics_.gens_ok : metrics_.gens_failed)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
   }
@@ -369,7 +365,7 @@ class RoutingService {
     /// Which latency shard and TRACE label this job belongs to.
     VerbKind verb = VerbKind::kRoute;
     /// Admission sequence number (TRACE output id) and the span stamps,
-    /// written by submit/worker and folded into the response at finish.
+    /// written by admit/worker and closed by record_completion.
     std::uint64_t id = 0;
     RequestTrace trace;
     // kRoute fields.
@@ -390,17 +386,32 @@ class RoutingService {
     std::chrono::steady_clock::time_point submitted;
   };
 
+  /// Stamps \p job's trace id and admission span and queues it on
+  /// \p shard; a full queue answers it inline with a rejection.  Every
+  /// submit path ends here.
+  void admit(Job& job, std::chrono::steady_clock::time_point now,
+             std::string shard);
   void worker_loop();
   void autosave_loop();
+  void run_route_job(Job& job, RouteResponse& resp);
+  /// Marks \p resp stopped — cancelled if the job's cancel token is set,
+  /// otherwise expired — and counts the outcome.
+  void mark_stopped(const Job& job, RouteResponse& resp);
   void run_load_job(Job& job);
   void run_stage_job(Job& job, RouteResponse& resp);
   void run_pin_job(Job& job);
-  void run_pin_mutation(Job& job, PinResponse& resp);
+  /// A pin-handle op on its ticket turn: claim, UNPIN or a mutation.
+  void run_pin_op(Job& job, PinResponse& resp);
   void save_pin(const PinnedSession& pin, const std::string& name,
                 PinResponse& resp);
   void restore_pins(const std::string& dir);
   void finish(Job& job, RouteResponse&& resp);
-  void finish_pin(Job& job, PinResponse&& resp);
+  /// Closes \p job's trace and records it into the latency histograms and
+  /// the slow-request ring — the bookkeeping every finished job shares.
+  /// Returns the job's total latency.
+  std::chrono::microseconds record_completion(Job& job,
+                                              std::string_view status,
+                                              std::string session);
 
   Options opts_;
   SessionCache cache_;

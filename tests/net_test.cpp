@@ -23,6 +23,7 @@
 #include "core/optimize.hpp"
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
+#include "metrics_contract.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame_parser.hpp"
 #include "net/reactor_pool.hpp"
@@ -977,13 +978,15 @@ TEST(EventLoop, StatsCarriesLoopHealthAndTraceWorksOverTcp) {
   // bytes.
   EXPECT_NE(stats.body.find("loop_connections 1"), std::string::npos)
       << stats.body;
-  for (const char* k :
-       {"loop_accepted", "loop_commands", "loop_reads_suspended",
-        "loop_dropped_slow", "loop_dropped_error", "loop_parked",
-        "loop_replayed", "loop_bytes_in", "loop_bytes_out", "loop_wakeups",
-        "loop_lag_p50_us", "loop_lag_p95_us", "loop_lag_p99_us"}) {
-    EXPECT_NE(stats.body.find(std::string(k) + " "), std::string::npos) << k;
+  // Every key, in order — the service block, then the loop block — is the
+  // committed metrics contract.
+  std::vector<std::string> want =
+      test::baseline_keys(GCR_METRICS_BASELINE, "stats_keys");
+  for (std::string& k :
+       test::baseline_keys(GCR_METRICS_BASELINE, "loop_stats_keys")) {
+    want.push_back(std::move(k));
   }
+  EXPECT_EQ(test::stats_keys(stats.body), want);
   EXPECT_EQ(stats.body.find("loop_bytes_in 0\n"), std::string::npos)
       << "the LOAD alone sent hundreds of bytes";
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -341,7 +342,16 @@ TEST(ServiceStages, StatsCountStagesAndGens) {
   const auto session = service.load(workload_text(9, 12, 7));
   ASSERT_TRUE(service.route(stage_request(session->key)).ok());
   ASSERT_TRUE(service.route(stage_request(session->key)).ok());
-  service.record_gen(true);
+  // A real GEN through the service's LOAD/GEN job path, which counts it.
+  const serve::GenCommand gen =
+      serve::parse_gen_command("standard seed=5 cells=9 extent=512 nets=12");
+  serve::LoadRequest req;
+  req.synth = [gen] { return serve::generate_workload_text(gen); };
+  std::promise<serve::LoadResponse> done;
+  service.submit_load(std::move(req), [&done](serve::LoadResponse resp) {
+    done.set_value(std::move(resp));
+  });
+  ASSERT_TRUE(done.get_future().get().ok);
   const serve::MetricsSnapshot snap = service.snapshot();
   EXPECT_EQ(snap.stages_ok, 2u);
   EXPECT_EQ(snap.stages_failed, 0u);
@@ -641,21 +651,15 @@ std::vector<std::pair<std::string, std::string>> converse_every_verb(int fd) {
             "\nVERIFY " + gen_key + "\nSVG " + gen_key + "\nOPTIMIZE " +
             key + " passes=2\n",
         10);
-  // A pin handle is addressable once PIN has answered; its mutations then
-  // pipeline on the pin's ticket chain.
-  round("PIN " + key + "\n", 1);
-  const std::string& pinned = frames.back().first;
-  const std::size_t at = pinned.find("pin=");
-  const std::string handle =
-      at == std::string::npos
-          ? "missing"
-          : pinned.substr(at + 4, pinned.find(' ', at) - at - 4);
-  round("COMMIT " + handle + " nets=" + net_a + "," + net_b + "\nREROUTE " +
-            handle + " nets=" + net_a + "\nUNCOMMIT " + handle + " nets=" +
-            net_b + "\nSAVE " + handle + " snap\nUNPIN " + handle +
-            "\nBOGUS\n" + std::string(serve::kMaxCommandLine + 1, 'x') +
-            "\nTRACE n=0\n",
-        8);
+  // PIN is an ordering barrier too, so the handle a fresh service hands
+  // out first is addressable by the commands pipelined behind it.
+  const std::string handle = "pin-0000000000000001";
+  round("PIN " + key + "\nCOMMIT " + handle + " nets=" + net_a + "," +
+            net_b + "\nREROUTE " + handle + " nets=" + net_a +
+            "\nUNCOMMIT " + handle + " nets=" + net_b + "\nSAVE " + handle +
+            " snap\nUNPIN " + handle + "\nBOGUS\n" +
+            std::string(serve::kMaxCommandLine + 1, 'x') + "\nTRACE n=0\n",
+        9);
   // An oversize LOAD: ERR, then its declared body is skipped unbuffered
   // and the connection stays framed for the QUIT behind it.
   const std::size_t oversize = serve::kMaxLoadBytes + 1;
@@ -708,6 +712,12 @@ TEST(EventLoopPipeline, FrontEndsAnswerPipelineVerbsIdentically) {
   EXPECT_TRUE(has("OK 0 session="));
   EXPECT_TRUE(has("PASS 1 "));
   EXPECT_TRUE(has("OK 0 pin=pin-"));
+  // The COMMIT pipelined behind PIN found the pin PIN derived.
+  EXPECT_TRUE(std::any_of(blocking.begin(), blocking.end(), [](const auto& f) {
+    return f.first.rfind("OK ", 0) == 0 &&
+           f.first.find(" pin=pin-0000000000000001 committed=2 ") !=
+               std::string::npos;
+  }));
   EXPECT_TRUE(has("ERR error: snapshots are disabled"));
   EXPECT_TRUE(has("ERR unknown command 'BOGUS'"));
   EXPECT_TRUE(has("ERR command line exceeds"));

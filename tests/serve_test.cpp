@@ -22,6 +22,7 @@
 #include "core/search_environment.hpp"
 #include "io/route_dump.hpp"
 #include "io/text_format.hpp"
+#include "metrics_contract.hpp"
 #include "serve/fair_queue.hpp"
 #include "serve/layout_session.hpp"
 #include "serve/metrics.hpp"
@@ -1134,6 +1135,9 @@ TEST(Protocol, StatsCarriesVerbShardsUptimeAndVersion) {
   // ROUTE's latency shows up in both the global histogram and its shard.
   EXPECT_NE(stats.body.find("latency_p50_us "), std::string::npos);
   EXPECT_NE(stats.body.find("verb_route_p50_us "), std::string::npos);
+  // Every key, in order, is the committed metrics contract.
+  EXPECT_EQ(test::stats_keys(stats.body),
+            test::baseline_keys(GCR_METRICS_BASELINE, "stats_keys"));
 
   const Frame hello = next_frame(replies);
   EXPECT_NE(hello.status.find("uptime_s="), std::string::npos);
