@@ -9,8 +9,6 @@
 // entirely, so a warm LOAD is orders of magnitude cheaper than a cold one.
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,7 +17,7 @@
 #include "bench_util.hpp"
 #include "core/search_environment.hpp"
 #include "io/text_format.hpp"
-#include "net/reactor_pool.hpp"
+#include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "serve/fd_stream.hpp"
 #include "serve/layout_session.hpp"
@@ -86,23 +84,20 @@ bool tcp_round_trip(std::ostream& out, std::istream& in,
 }
 
 /// Closed-loop requests/sec through the network front-end: `connections`
-/// concurrent TCP clients (kernel-sharded across `reactors` SO_REUSEPORT
-/// event loops), each firing `per_client` ROUTEs back-to-back.
+/// concurrent TCP clients on one event loop, each firing `per_client`
+/// ROUTEs back-to-back.
 double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
-                            const std::string& text,
-                            std::size_t reactors = 1) {
+                            const std::string& text) {
   serve::RoutingService::Options sopts;
   sopts.queue_capacity = connections * 2 + 8;
   serve::RoutingService service(sopts);
-  net::ReactorPoolOptions popts;
-  popts.reactors = reactors;
-  net::ReactorPool pool(service, popts);
-  std::thread pool_thread([&pool] { pool.run(); });
+  net::EventLoop loop(service);
+  std::thread loop_thread([&loop] { loop.run(); });
 
   const std::string key = serve::SessionCache::content_key(text);
   {
     // Prime the session cache over the wire.
-    const net::ScopedFd fd = net::tcp_connect(pool.port());
+    const net::ScopedFd fd = net::tcp_connect(loop.port());
     serve::FdTransport t(fd.get());
     (void)tcp_round_trip(t.out(), t.in(),
                          "LOAD " + std::to_string(text.size()), text);
@@ -113,7 +108,7 @@ double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
   clients.reserve(connections);
   for (std::size_t c = 0; c < connections; ++c) {
     clients.emplace_back([&] {
-      const net::ScopedFd fd = net::tcp_connect(pool.port());
+      const net::ScopedFd fd = net::tcp_connect(loop.port());
       serve::FdTransport t(fd.get());
       for (std::size_t q = 0; q < per_client; ++q) {
         (void)tcp_round_trip(t.out(), t.in(), "ROUTE " + key, "");
@@ -125,61 +120,11 @@ double tcp_requests_per_sec(std::size_t connections, std::size_t per_client,
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-  pool.stop();
-  pool_thread.join();
+  loop.stop();
+  loop_thread.join();
   return secs > 0
              ? static_cast<double>(connections * per_client) / secs
              : 0.0;
-}
-
-/// Reactors × connections matrix: the multi-reactor scaling claim.  When
-/// GCR_SERVE_SCALING_OUT names a file, the table is also archived as a
-/// JSON artifact (the CI scaling plot).
-void print_reactor_table(const std::string& text) {
-  std::puts("requests/sec: reactors x concurrent TCP connections");
-  std::puts("(SO_REUSEPORT shards accepted connections across N event"
-            " loops;");
-  std::puts(" all loops feed one worker pool through the fair queue):");
-  const std::vector<std::size_t> reactor_counts{1, 2, 4};
-  const std::vector<std::size_t> conn_counts{4, 16, 32};
-  std::printf("  %-10s", "reactors");
-  for (const std::size_t conns : conn_counts) {
-    std::printf(" %8zu conns", conns);
-  }
-  std::printf("\n");
-  std::vector<std::vector<double>> rps(reactor_counts.size());
-  for (std::size_t r = 0; r < reactor_counts.size(); ++r) {
-    std::printf("  %-10zu", reactor_counts[r]);
-    for (const std::size_t conns : conn_counts) {
-      const double v = tcp_requests_per_sec(conns, 4, text,
-                                            reactor_counts[r]);
-      rps[r].push_back(v);
-      std::printf(" %14.1f", v);
-    }
-    std::printf("\n");
-  }
-  std::puts("  (single-loop accept/read/flush saturates one core;"
-            " sharding the\n   front-end keeps the worker pool fed once"
-            " connections outnumber it)");
-
-  const char* out_path = std::getenv("GCR_SERVE_SCALING_OUT");
-  if (out_path != nullptr && out_path[0] != '\0') {
-    std::ofstream os(out_path);
-    os << "{\n  \"hardware_threads\": "
-       << std::thread::hardware_concurrency() << ",\n  \"per_client\": 4"
-       << ",\n  \"rows\": [";
-    for (std::size_t r = 0; r < reactor_counts.size(); ++r) {
-      os << (r == 0 ? "\n" : ",\n") << "    {\"reactors\": "
-         << reactor_counts[r] << ", \"req_s\": {";
-      for (std::size_t c = 0; c < conn_counts.size(); ++c) {
-        os << (c == 0 ? "" : ", ") << '"' << conn_counts[c]
-           << "\": " << rps[r][c];
-      }
-      os << "}}";
-    }
-    os << "\n  ]\n}\n";
-    std::printf("  scaling table written to %s\n", out_path);
-  }
 }
 
 void print_tcp_table(const std::string& text) {
@@ -202,10 +147,6 @@ void print_tcp_table(const std::string& text) {
 
 void print_tcp_table(const std::string&) {
   std::puts("(TCP front-end table skipped: requires Linux epoll)");
-}
-
-void print_reactor_table(const std::string&) {
-  std::puts("(reactor scaling table skipped: requires Linux epoll)");
 }
 
 #endif  // __linux__
@@ -233,7 +174,6 @@ void print_table() {
             " throughput)");
 
   print_tcp_table(text);
-  print_reactor_table(text);
 
   // Session cache: cold LOAD parses + builds the environment; warm LOAD is
   // a hash lookup.  The build counter proves the skip.

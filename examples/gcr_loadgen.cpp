@@ -130,10 +130,6 @@ struct Config {
   /// to the clients' own per-verb aggregates — to this path before the
   /// server is shut down.
   std::string stats_out;
-  /// TCP mode: fork the server with --reactors N (SO_REUSEPORT event-loop
-  /// shards); 1 = the single-loop build the responses are differenced
-  /// against.
-  std::size_t reactors = 1;
   /// Open-loop mode (--tcp only): instead of closed-loop request/response
   /// clients, pace ROUTEs at fixed offered rates over many pipelined
   /// connections and measure the p99-vs-offered-load curve.
@@ -148,7 +144,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--server PATH [--transport socket|pipe] [--tcp]]\n"
-      "       [--clients N] [--requests N] [--workers N] [--reactors N]\n"
+      "       [--clients N] [--requests N] [--workers N]\n"
       "       [--cells N] [--nets N] [--seed S] [--deadline-ms N]\n"
       "       [--optimize] [--gen] [--restart-dir DIR] [--stats-out FILE]\n"
       "       [--open-loop [--offered R1,R2,..] [--conns N] [--step-s S]\n"
@@ -694,9 +690,6 @@ TcpChild spawn_tcp_server(const Config& cfg,
     std::vector<std::string> args{cfg.server, "--workers",
                                   std::to_string(cfg.workers), "--listen",
                                   "0"};
-    if (cfg.reactors > 1) {
-      args.insert(args.end(), {"--reactors", std::to_string(cfg.reactors)});
-    }
     if (cfg.gen) {
       // Distinct per-client seeds mean distinct sessions; the cache must
       // hold them all or mid-run eviction would fail later ROUTEs.
@@ -1320,14 +1313,17 @@ OpenStep run_open_step(std::uint16_t port, const std::string& request,
 /// it as a JSON artifact (the CI saturation plot).
 int run_open_loop(const Config& cfg, const std::string& layout_text) {
   std::signal(SIGPIPE, SIG_IGN);
-  const TcpChild child = spawn_tcp_server(cfg);
+  // The daemon's default connection cap (256) would refuse most of a large
+  // --conns sweep.
+  const TcpChild child =
+      spawn_tcp_server(cfg, {"--max-conns", std::to_string(cfg.conns)});
   if (child.pid < 0) {
     std::fprintf(stderr, "loadgen: cannot spawn %s --listen 0\n",
                  cfg.server.c_str());
     return 1;
   }
-  std::printf("spawned %s (pid %d, %zu reactors) on 127.0.0.1:%u\n",
-              cfg.server.c_str(), static_cast<int>(child.pid), cfg.reactors,
+  std::printf("spawned %s (pid %d) on 127.0.0.1:%u\n", cfg.server.c_str(),
+              static_cast<int>(child.pid),
               static_cast<unsigned>(child.port));
 
   int failures = 0;
@@ -1383,7 +1379,6 @@ int run_open_loop(const Config& cfg, const std::string& layout_text) {
       ++failures;
     } else {
       os << "{\n  \"connections\": " << cfg.conns
-         << ",\n  \"reactors\": " << cfg.reactors
          << ",\n  \"step_s\": " << cfg.step_s << ",\n  \"curve\": [";
       bool first = true;
       for (const OpenStep& s : steps) {
@@ -1632,8 +1627,6 @@ int main(int argc, char** argv) {
       cfg.requests = n;
     } else if (arg == "--workers" && number(1024, &n)) {
       cfg.workers = n;
-    } else if (arg == "--reactors" && number(256, &n)) {
-      cfg.reactors = std::max<std::size_t>(n, 1);
     } else if (arg == "--open-loop") {
       cfg.open_loop = true;
     } else if (arg == "--offered" && v != nullptr && v[0] != '\0') {

@@ -14,18 +14,16 @@
 //     --listen PORT    serve many concurrent TCP clients on 127.0.0.1:PORT
 //                      (0 = kernel-assigned; the bound port is printed as
 //                      "gcr_serve: listening on 127.0.0.1:<port>")
-//     --reactors N     TCP mode: N event-loop threads sharing the port via
-//                      SO_REUSEPORT (connection-affine; default 1)
 //     --listen-unix P  also accept connections on unix socket path P
-//                      (same protocol; served by the first reactor)
-//     --max-conns N    TCP mode: per-reactor connection cap (default 256)
+//                      (same protocol, same event loop)
+//     --max-conns N    TCP mode: connection cap (default 256)
 //     --high-water N   TCP mode: per-connection outbound bytes past which
 //                      reads are suspended (slow-client backpressure)
 //     --hard-cap N     TCP mode: outbound bytes past which a slow client
 //                      is dropped
 //     --snapshot-dir D enable SAVE: pinned sessions serialize to D/<name>;
 //                      a graceful drain writes a final snapshot per
-//                      surviving pin after every loop quiesces
+//                      surviving pin after the loop quiesces
 //     --snapshot-interval-s N
 //                      with --snapshot-dir: background-SAVE every pinned
 //                      session every N seconds (rides each pin's ticket
@@ -44,12 +42,9 @@
 // frames its input with net::FrameParser and executes it through the one
 // verb dispatcher (serve/dispatch.hpp), so all of them answer with the
 // same bytes; cold LOADs and GENs build on the worker pool, so one giant
-// layout upload cannot stall the other TCP connections.  With --reactors N
-// the kernel shards accepted connections across N independent epoll
-// loops; all of them feed one worker pool through the weighted-fair queue,
-// so responses are byte-identical to the single-reactor build.  SIGINT/SIGTERM shut down
-// gracefully: every listener closes, in-flight jobs drain and flush, and
-// the loop threads join as a barrier before the final pin snapshots are
+// layout upload cannot stall the other TCP connections.  SIGINT/SIGTERM
+// shut down gracefully: every listener closes, in-flight jobs drain and
+// flush, and the event loop returns before the final pin snapshots are
 // written (a second signal force-closes lingering connections).
 //
 //   $ printf 'LOAD 47\nboundary 0 0 64 64\ncell a 8 8 24 24\n...' | gcr_serve
@@ -61,17 +56,17 @@
 #include <exception>
 #include <iostream>
 
-#include "net/reactor_pool.hpp"
+#include "net/event_loop.hpp"
 #include "serve/fd_stream.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
 
 namespace {
 
-gcr::net::ReactorPool* g_pool = nullptr;
+gcr::net::EventLoop* g_loop = nullptr;
 
 extern "C" void on_shutdown_signal(int) {
-  if (g_pool != nullptr) g_pool->stop();  // async-signal-safe
+  if (g_loop != nullptr) g_loop->stop();  // async-signal-safe
 }
 
 int usage(const char* argv0) {
@@ -79,7 +74,7 @@ int usage(const char* argv0) {
                "usage: %s [--workers N] [--queue N] [--cache N] [--fd FD]\n"
                "       [--snapshot-dir DIR [--snapshot-interval-s N]]\n"
                "       [--restore-dir DIR] [--slow-ms N]\n"
-               "       [--listen PORT [--reactors N] [--listen-unix PATH]\n"
+               "       [--listen PORT [--listen-unix PATH]\n"
                "        [--max-conns N] [--high-water BYTES]\n"
                "        [--hard-cap BYTES]]\n",
                argv0);
@@ -101,7 +96,6 @@ int main(int argc, char** argv) {
 
   serve::RoutingService::Options opts;
   net::EventLoopOptions lopts;
-  std::size_t reactors = 1;
   long fd = -1;
   long listen_port = -1;
   for (int i = 1; i < argc; ++i) {
@@ -125,10 +119,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--listen" && v != nullptr &&
                parse_size(v, 65535, &parsed)) {
       listen_port = static_cast<long>(parsed);
-      ++i;
-    } else if (arg == "--reactors" && v != nullptr &&
-               parse_size(v, 256, &parsed) && parsed > 0) {
-      reactors = parsed;
       ++i;
     } else if (arg == "--listen-unix" && v != nullptr && v[0] != '\0') {
       lopts.unix_path = v;
@@ -181,22 +171,19 @@ int main(int argc, char** argv) {
       // the banner contract with spawners holds in every network mode.
       lopts.port = listen_port >= 0 ? static_cast<std::uint16_t>(listen_port)
                                     : std::uint16_t{0};
-      net::ReactorPoolOptions popts;
-      popts.reactors = reactors;
-      popts.loop = lopts;
-      net::ReactorPool pool(service, popts);
-      g_pool = &pool;
+      net::EventLoop loop(service, lopts);
+      g_loop = &loop;
       std::signal(SIGINT, on_shutdown_signal);
       std::signal(SIGTERM, on_shutdown_signal);
       std::signal(SIGPIPE, SIG_IGN);
       // The banner is the contract with spawners (gcr_loadgen --tcp, the CI
       // smoke job): parse the bound port from stdout when --listen 0.
       std::printf("gcr_serve: listening on 127.0.0.1:%u\n",
-                  static_cast<unsigned>(pool.port()));
+                  static_cast<unsigned>(loop.port()));
       std::fflush(stdout);
-      pool.run();  // returns once every reactor has drained (the barrier)
-      g_pool = nullptr;
-      // Only now — all loops quiesced, every in-flight pinned-session
+      loop.run();  // returns once every connection has drained (the barrier)
+      g_loop = nullptr;
+      // Only now — the loop quiesced, every in-flight pinned-session
       // mutation finished or cancelled — write the final snapshots.
       if (!opts.snapshot_dir.empty()) {
         const std::size_t saved = service.final_save_pins();
@@ -204,20 +191,15 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "gcr_serve: final save: %zu pin(s)\n", saved);
         }
       }
-      net::LoopStatsView total;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        total.merge(net::snapshot_loop_stats(pool.loop(i).stats()));
-      }
+      const net::EventLoopStats& s = loop.stats();
       std::fprintf(stderr,
-                   "gcr_serve: drained %zu reactor(s): %llu conns, "
-                   "%llu commands, %llu suspended, %llu dropped slow, "
-                   "%llu dropped error\n",
-                   pool.size(),
-                   static_cast<unsigned long long>(total.accepted),
-                   static_cast<unsigned long long>(total.commands),
-                   static_cast<unsigned long long>(total.reads_suspended),
-                   static_cast<unsigned long long>(total.dropped_slow),
-                   static_cast<unsigned long long>(total.dropped_error));
+                   "gcr_serve: drained: %llu conns, %llu commands, "
+                   "%llu suspended, %llu dropped slow, %llu dropped error\n",
+                   static_cast<unsigned long long>(s.accepted.load()),
+                   static_cast<unsigned long long>(s.commands.load()),
+                   static_cast<unsigned long long>(s.reads_suspended.load()),
+                   static_cast<unsigned long long>(s.dropped_slow.load()),
+                   static_cast<unsigned long long>(s.dropped_error.load()));
       return 0;
     }
 

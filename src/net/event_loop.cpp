@@ -32,9 +32,26 @@ namespace {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kMailboxTag = 1;
 constexpr std::uint64_t kUnixListenerTag = 2;
+/// How long accepting stays paused after descriptor exhaustion when no
+/// connection closes to re-arm it sooner.
+constexpr int kAcceptRetryMs = 100;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
+}
+
+/// Renders the 17-key `loop_*` STATS block.  Reads only atomics, so any
+/// thread may call it while the loop runs.
+std::string render_loop_stats(const EventLoopStats& stats) {
+  LoopCounters<std::uint64_t> values;
+  serve::load_counters(values, stats);
+  const serve::Histogram::Snapshot lag = stats.loop_lag.snapshot();
+  std::ostringstream os;
+  serve::render_counters(os, "loop_", values);
+  os << "loop_lag_p50_us " << lag.percentile(50) << '\n'
+     << "loop_lag_p95_us " << lag.percentile(95) << '\n'
+     << "loop_lag_p99_us " << lag.percentile(99) << '\n';
+  return os.str();
 }
 
 #endif  // GCR_NET_HAVE_EPOLL
@@ -109,17 +126,11 @@ EventLoop::EventLoop(serve::RoutingService& service,
                      const EventLoopOptions& opts)
     : service_(service), opts_(opts),
       epoll_(::epoll_create1(EPOLL_CLOEXEC)),
-      listener_(opts.port, opts.reuse_port),
+      listener_(opts.port),
       mailbox_(std::make_shared<Mailbox>()) {
   if (!epoll_) throw_errno("epoll_create1");
 
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, listener_.fd(), &ev) < 0) {
-    throw_errno("epoll_ctl(listener)");
-  }
-  listener_armed_ = true;
   ev.events = EPOLLIN;
   ev.data.u64 = kMailboxTag;
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, mailbox_->event_fd.get(),
@@ -131,31 +142,19 @@ EventLoop::EventLoop(serve::RoutingService& service,
     // same Connection/FrameParser/backpressure path as TCP peers — only
     // the accept syscall's address family differs.
     unix_listener_.emplace(Listener::unix_listener(opts_.unix_path));
-    ev.events = EPOLLIN;
-    ev.data.u64 = kUnixListenerTag;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, unix_listener_->fd(),
-                    &ev) < 0) {
-      throw_errno("epoll_ctl(unix listener)");
-    }
-    unix_listener_armed_ = true;
   }
+  set_accepting(true);
+  if (!accepting_) throw_errno("epoll_ctl(listener)");
   // Splice the loop's own health into the service's STATS body: TCP
-  // clients see one coherent metrics page.  The render reads only atomics,
-  // so any thread may call stats_text() while the loop runs.  A
-  // ReactorPool member loop skips this — the pool renders all its loops
-  // through one hook instead.
-  if (opts_.register_stats) {
-    service_.set_extra_stats([this] {
-      return render_loop_stats(snapshot_loop_stats(stats_), "loop_");
-    });
-  }
+  // clients see one coherent metrics page.
+  service_.set_extra_stats([this] { return render_loop_stats(stats_); });
 }
 
 EventLoop::~EventLoop() {
   // Unhook before members die; a stats_text() racing the destructor is the
   // caller's lifetime bug (the loop must outlive its servers), this just
   // keeps an orderly shutdown from rendering freed counters.
-  if (opts_.register_stats) service_.set_extra_stats({});
+  service_.set_extra_stats({});
 }
 
 std::uint16_t EventLoop::port() const noexcept { return listener_.port(); }
@@ -174,10 +173,15 @@ void EventLoop::run() {
     if (stopping_ && conns_.empty()) return;
 
     const int n = ::epoll_wait(epoll_.get(), events,
-                               static_cast<int>(std::size(events)), -1);
+                               static_cast<int>(std::size(events)),
+                               accepting_ || stopping_ ? -1 : kAcceptRetryMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
+    }
+    if (n == 0) {  // the accept pause timed out: try the listeners again
+      set_accepting(true);
+      continue;
     }
     // Loop lag = how long this batch keeps the thread away from
     // epoll_wait; every connection's tail latency rides on it.
@@ -222,7 +226,9 @@ void EventLoop::run() {
 
 void EventLoop::accept_ready(Listener& from) {
   for (;;) {
-    ScopedFd fd = from.accept_one();
+    bool exhausted = false;
+    ScopedFd fd = from.accept_one(exhausted);
+    if (exhausted) set_accepting(false);
     if (!fd) return;
     if (stopping_ || conns_.size() >= opts_.max_connections) {
       // Refuse by closing: the client sees a clean EOF, retries elsewhere.
@@ -239,7 +245,9 @@ void EventLoop::accept_ready(Listener& from) {
     ev.events = EPOLLIN;
     ev.data.u64 = id;
     if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, conn->fd(), &ev) < 0) {
-      continue;  // kernel refused; drop the socket
+      // Kernel refused (out of memory or the epoll watch limit); drop it.
+      stats_.dropped_error.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
     conn->registered_events = EPOLLIN;
     conns_.emplace(id, std::move(conn));
@@ -487,18 +495,31 @@ void EventLoop::close_connection(std::uint64_t id, bool drop) {
   conns_.erase(it);
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
   stats_.connections.fetch_sub(1, std::memory_order_relaxed);
+  set_accepting(true);  // a descriptor came free
+}
+
+void EventLoop::set_accepting(bool on) {
+  if (on == accepting_ || (on && stopping_)) return;
+  const std::pair<const Listener*, std::uint64_t> listeners[] = {
+      {&listener_, kListenerTag},
+      {unix_listener_ ? &*unix_listener_ : nullptr, kUnixListenerTag}};
+  for (const auto& [l, tag] : listeners) {
+    if (l == nullptr) continue;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = tag;
+    const int rc = ::epoll_ctl(
+        epoll_.get(), on ? EPOLL_CTL_ADD : EPOLL_CTL_DEL, l->fd(), &ev);
+    // A failed ADD (no kernel memory) leaves accepting off for the retry
+    // timeout; EEXIST on that retry means this listener made it last time.
+    if (on && rc < 0 && errno != EEXIST) return;
+  }
+  accepting_ = on;
 }
 
 void EventLoop::begin_shutdown() {
   stopping_ = true;
-  if (listener_armed_) {
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, listener_.fd(), nullptr);
-    listener_armed_ = false;
-  }
-  if (unix_listener_armed_) {
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, unix_listener_->fd(), nullptr);
-    unix_listener_armed_ = false;
-  }
+  set_accepting(false);
   // Stop taking commands everywhere; settle() each connection so the ones
   // already drained close immediately and the rest close as their
   // in-flight jobs finish and flush.
@@ -533,6 +554,7 @@ std::uint16_t EventLoop::port() const noexcept { return 0; }
 void EventLoop::run() {}
 void EventLoop::stop() noexcept {}
 void EventLoop::accept_ready(Listener&) {}
+void EventLoop::set_accepting(bool) {}
 void EventLoop::drain_mailbox() {}
 void EventLoop::handle_readable(std::uint64_t) {}
 void EventLoop::process_events(Connection&, std::vector<FrameParser::Event>&,
@@ -545,34 +567,5 @@ void EventLoop::force_close_all() {}
 void EventLoop::update_interest(Connection&) {}
 
 #endif  // GCR_NET_HAVE_EPOLL
-
-// ------------------------------------------------------------------------
-// Loop-stats snapshot/render — pure computation, platform-independent.
-
-void LoopStatsView::merge(const LoopStatsView& other) {
-  serve::add_counters(*this, other);
-  for (std::size_t i = 0; i < lag.buckets.size(); ++i) {
-    lag.buckets[i] += other.lag.buckets[i];
-  }
-  lag.count += other.lag.count;
-  lag.sum += other.lag.sum;
-}
-
-LoopStatsView snapshot_loop_stats(const EventLoopStats& stats) {
-  LoopStatsView view;
-  serve::load_counters(view, stats);
-  view.lag = stats.loop_lag.snapshot();
-  return view;
-}
-
-std::string render_loop_stats(const LoopStatsView& view,
-                              const std::string& prefix) {
-  std::ostringstream os;
-  serve::render_counters(os, prefix, view);
-  os << prefix << "lag_p50_us " << view.lag.percentile(50) << '\n'
-     << prefix << "lag_p95_us " << view.lag.percentile(95) << '\n'
-     << prefix << "lag_p99_us " << view.lag.percentile(99) << '\n';
-  return os.str();
-}
 
 }  // namespace gcr::net

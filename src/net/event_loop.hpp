@@ -17,8 +17,8 @@
 
 /// \file event_loop.hpp
 /// The asynchronous multi-client front-end: one thread, one epoll set, many
-/// TCP connections, all multiplexed onto the routing service's existing
-/// worker pool.
+/// TCP (and optionally unix-domain) connections, all multiplexed onto the
+/// routing service's existing worker pool.
 ///
 /// Division of labour — the loop thread only ever does cheap things:
 ///   - accept connections and read whatever bytes are available;
@@ -44,6 +44,12 @@
 /// write_hard_cap the connection is dropped: its fd closes, its cancel
 /// token flips so still-queued jobs die at dequeue, and late completions
 /// are discarded by id.
+///
+/// Descriptor exhaustion: when accept() fails for lack of descriptors or
+/// kernel memory (EMFILE/ENFILE/ENOBUFS/ENOMEM), the loop takes its
+/// listeners out of the epoll set instead of spinning on them (they are
+/// level-triggered) and re-arms them when a connection closes or after a
+/// short retry timeout.  Pending peers wait in the kernel backlog.
 ///
 /// Shutdown: stop() is async-signal-safe (atomic increment + eventfd
 /// write).  The first stop closes the listener and lets every connection
@@ -73,19 +79,10 @@ struct EventLoopOptions {
   /// hides a slow reader until it overflows — shrink this to make the
   /// marks bite early (tests do; a memory-tight deployment might).
   int so_sndbuf = 0;
-  /// Sets SO_REUSEPORT on the TCP listener before bind, so N reactor loops
-  /// can each bind the same port and let the kernel spread incoming
-  /// connections across them (see ReactorPool).
-  bool reuse_port = false;
   /// Non-empty: additionally listen on a unix-domain socket at this path.
   /// Accepted peers share the Connection/FrameParser path verbatim with
   /// TCP peers; the socket file is unlinked when the loop is destroyed.
   std::string unix_path;
-  /// Whether the loop installs itself as the routing service's extra-stats
-  /// hook (the `loop_*` STATS block).  A standalone loop should (default);
-  /// a ReactorPool member must not — the pool owns the single hook and
-  /// renders aggregated `loop_*` plus per-loop `loop<i>_*` shards itself.
-  bool register_stats = true;
   FrameParser::Options parser{};
 };
 
@@ -103,7 +100,7 @@ struct EventLoopOptions {
   X(commands)                                                              \
   X(reads_suspended)       /* suspension *events* */                       \
   X(dropped_slow)          /* hard-cap drops */                            \
-  X(dropped_error)         /* read/write errors */                         \
+  X(dropped_error)         /* read/write/epoll errors */                   \
   X(completions_discarded) /* conn died first */                           \
   /* Commands parked on a connection (backpressure or an ordering barrier) \
      and parked commands later replayed by settle(); parked >= replayed,   \
@@ -124,28 +121,6 @@ struct EventLoopStats : LoopCounters<serve::Counter> {
   /// something is doing expensive work on the loop thread.
   serve::Histogram loop_lag;
 };
-
-/// A plain-value snapshot of EventLoopStats.  Atomics and histograms do
-/// not add, but their snapshots do: a ReactorPool sums one view per loop
-/// into the aggregated `loop_*` block while rendering each view verbatim
-/// as that loop's `loop<i>_*` shard.
-struct LoopStatsView : LoopCounters<std::uint64_t> {
-  serve::Histogram::Snapshot lag{};
-
-  /// Folds \p other into this view: counters sum, lag histograms merge
-  /// bucket-wise (percentiles of the merged distribution stay exact).
-  void merge(const LoopStatsView& other);
-};
-
-/// Reads every counter (and the lag histogram) at relaxed order; safe from
-/// any thread while the loop runs.
-[[nodiscard]] LoopStatsView snapshot_loop_stats(const EventLoopStats& stats);
-
-/// Renders the 17-key loop-health block as `<prefix><key> <value>` STATS
-/// lines ("loop_" for the standalone/aggregate block, "loop0_" … for
-/// per-reactor shards).
-[[nodiscard]] std::string render_loop_stats(const LoopStatsView& view,
-                                            const std::string& prefix);
 
 class EventLoop {
  public:
@@ -174,6 +149,9 @@ class EventLoop {
   struct Mailbox;  ///< completion queue + wakeup eventfd (in the .cpp)
 
   void accept_ready(Listener& from);
+  /// Adds (true) or removes (false) every listener in the epoll set.
+  /// Never re-arms once shutdown has begun.
+  void set_accepting(bool on);
   void drain_mailbox();
   void handle_readable(std::uint64_t id);
   /// Dispatches events[from..] in order, parking the tail on the
@@ -198,12 +176,11 @@ class EventLoop {
   EventLoopStats stats_;
   ScopedFd epoll_;
   Listener listener_;
-  std::optional<Listener> unix_listener_;  ///< --listen-unix, loop 0 only
+  std::optional<Listener> unix_listener_;  ///< --listen-unix
   std::shared_ptr<Mailbox> mailbox_;
   std::atomic<int> stop_requests_{0};
   bool stopping_ = false;
-  bool listener_armed_ = false;
-  bool unix_listener_armed_ = false;
+  bool accepting_ = false;  ///< listeners are in the epoll set
   /// 0 = TCP listener tag, 1 = mailbox tag, 2 = unix listener tag.
   std::uint64_t next_conn_id_ = 3;
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;

@@ -60,7 +60,7 @@ sockaddr_un unix_addr(const std::string& path) {
 
 }  // namespace
 
-Listener::Listener(std::uint16_t port, bool reuse_port) {
+Listener::Listener(std::uint16_t port) {
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd) throw_errno("socket");
   const int one = 1;
@@ -68,12 +68,6 @@ Listener::Listener(std::uint16_t port, bool reuse_port) {
   // TIME_WAIT sockets from the previous incarnation's connections.
   if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) < 0) {
     throw_errno("setsockopt(SO_REUSEADDR)");
-  }
-  if (reuse_port &&
-      ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0) {
-    // Must be set before bind on every sharing socket: the kernel hashes
-    // incoming connections across all listeners in the reuseport group.
-    throw_errno("setsockopt(SO_REUSEPORT)");
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -138,7 +132,7 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
-ScopedFd Listener::accept_one() {
+ScopedFd Listener::accept_one(bool& exhausted) {
   for (;;) {
     const int fd = ::accept(fd_.get(), nullptr, nullptr);
     if (fd >= 0) {
@@ -157,6 +151,11 @@ ScopedFd Listener::accept_one() {
     // Transient per-connection failures (the peer gave up between the
     // kernel queueing it and us accepting it) are not listener failures.
     if (errno == ECONNABORTED || errno == EPROTO) continue;
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      exhausted = true;
+      return ScopedFd();
+    }
     throw_errno("accept");
   }
 }
@@ -202,7 +201,7 @@ void set_nonblocking(int) {
   throw std::runtime_error("gcr::net requires a POSIX platform");
 }
 
-Listener::Listener(std::uint16_t, bool) {
+Listener::Listener(std::uint16_t) {
   throw std::runtime_error("gcr::net requires a POSIX platform");
 }
 
@@ -214,7 +213,7 @@ Listener::~Listener() = default;
 Listener::Listener(Listener&&) noexcept = default;
 Listener& Listener::operator=(Listener&&) noexcept = default;
 
-ScopedFd Listener::accept_one() { return ScopedFd(); }
+ScopedFd Listener::accept_one(bool&) { return ScopedFd(); }
 
 ScopedFd tcp_connect(std::uint16_t, int) {
   throw std::runtime_error("gcr::net requires a POSIX platform");

@@ -44,18 +44,13 @@ class ScopedFd {
 void set_nonblocking(int fd);
 
 /// A listening socket — the accept side of the epoll front-end.  Either a
-/// loopback TCP socket (non-blocking, SO_REUSEADDR, optionally
-/// SO_REUSEPORT for multi-reactor sharding) or a unix-domain socket bound
-/// to a filesystem path (unlinked when the listener is destroyed).
+/// loopback TCP socket (non-blocking, SO_REUSEADDR) or a unix-domain socket
+/// bound to a filesystem path (unlinked when the listener is destroyed).
 class Listener {
  public:
   /// Binds 127.0.0.1:\p port (0 = kernel-assigned ephemeral port, see
-  /// port()) and listens.  With \p reuse_port, SO_REUSEPORT is set before
-  /// the bind so N reactors can each bind the same port and let the kernel
-  /// distribute incoming connections across them — reactor 0 binds with
-  /// port 0, the rest bind the resolved port.  Throws std::runtime_error
-  /// on failure.
-  explicit Listener(std::uint16_t port, bool reuse_port = false);
+  /// port()) and listens.  Throws std::runtime_error on failure.
+  explicit Listener(std::uint16_t port);
 
   /// Binds a unix-domain stream socket at \p path and listens.  A stale
   /// socket file at \p path is unlinked first (a previous unclean exit
@@ -77,9 +72,12 @@ class Listener {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Accepts one pending connection; returns an empty fd when none is
-  /// pending (EAGAIN).  The accepted socket comes back non-blocking and
-  /// close-on-exec.  Throws on unrecoverable accept errors.
-  [[nodiscard]] ScopedFd accept_one();
+  /// pending (EAGAIN) or when the process or kernel is out of descriptors
+  /// or memory (EMFILE/ENFILE/ENOBUFS/ENOMEM).  The latter sets
+  /// \p exhausted, and the peer stays queued in the backlog.  The accepted
+  /// socket comes back non-blocking and close-on-exec.  Throws on
+  /// unrecoverable accept errors.
+  [[nodiscard]] ScopedFd accept_one(bool& exhausted);
 
  private:
   Listener() = default;

@@ -76,7 +76,7 @@ class LatencyWindow {
 /// counter plus an `each` visitor.  `Table<Counter>` is the live storage —
 /// a bump is one relaxed `fetch_add` on the member — and
 /// `Table<std::uint64_t>` is its plain-value snapshot.  The functions below
-/// load, sum and render any table through `each`.
+/// load and render any table through `each`.
 #define GCR_COUNTER_MEMBER(name) T name{};
 #define GCR_COUNTER_VISIT(name) f(#name, tables.name...);
 #define GCR_COUNTER_TABLE(Table, LIST)                          \
@@ -100,14 +100,6 @@ void load_counters(Values& out, const Live& live) {
         v = c.load(std::memory_order_relaxed);
       },
       out, live);
-}
-
-/// Adds every counter of \p from into \p into.
-template <typename Values>
-void add_counters(Values& into, const Values& from) {
-  Values::each([](std::string_view, std::uint64_t& a,
-                  std::uint64_t b) { a += b; },
-               into, from);
 }
 
 /// Writes one `<prefix><name> <value>` STATS line per counter.

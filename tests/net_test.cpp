@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,7 +29,6 @@
 #include "metrics_contract.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame_parser.hpp"
-#include "net/reactor_pool.hpp"
 #include "net/socket.hpp"
 #include "serve/fd_stream.hpp"
 #include "serve/layout_session.hpp"
@@ -35,7 +37,10 @@
 #include "workload/netgen.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -206,8 +211,14 @@ class TestServer {
       const net::EventLoopOptions& lopts = net::EventLoopOptions(),
       const serve::RoutingService::Options& sopts =
           serve::RoutingService::Options())
-      : service_(sopts), loop_(service_, lopts),
-        thread_([this] { loop_.run(); }) {}
+      : service_(sopts), loop_(service_, lopts), thread_([this] {
+          try {
+            loop_.run();
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "event loop died: " << e.what();
+          }
+          running_ = false;
+        }) {}
 
   ~TestServer() {
     loop_.stop();
@@ -220,10 +231,13 @@ class TestServer {
   [[nodiscard]] const net::EventLoopStats& stats() const noexcept {
     return loop_.stats();
   }
+  /// False once run() has returned or thrown.
+  [[nodiscard]] bool running() const noexcept { return running_.load(); }
 
  private:
   serve::RoutingService service_;
   net::EventLoop loop_;
+  std::atomic<bool> running_{true};
   std::thread thread_;
 };
 
@@ -1050,78 +1064,74 @@ TEST(EventLoop, UnixListenerServesSameProtocolAndUnlinksOnExit) {
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
 }
 
-TEST(ReactorPool, ShardsConnectionsAndAggregatesLoopStats) {
-  // Four reactors, one port, one service.  Connections land on
-  // kernel-chosen loops; STATS must carry the aggregate loop_* block (old
-  // consumers), the reactor count, and the per-loop loop<i>_* shards.
+TEST(EventLoop, DescriptorExhaustionPausesAcceptingInsteadOfDying) {
+  // accept() failing with EMFILE must neither end the loop (pinned sessions
+  // would lose their final save) nor spin it on the level-triggered
+  // listener: the loop stops listening and resumes once descriptors free.
   serve::RoutingService::Options sopts;
-  sopts.workers = 2;
-  serve::RoutingService service(sopts);
-  net::ReactorPoolOptions popts;
-  popts.reactors = 4;
-  net::ReactorPool pool(service, popts);
-  ASSERT_EQ(pool.size(), 4u);
-  std::thread pool_thread([&] { pool.run(); });
+  sopts.workers = 1;
+  TestServer server(net::EventLoopOptions(), sopts);
 
-  const std::string text = workload_text(9, 12, 7);
-  const std::string key = serve::SessionCache::content_key(text);
-  {
-    // Enough connections that the reuseport hash almost surely spreads
-    // them; correctness must hold regardless of the actual spread.
-    std::vector<net::ScopedFd> socks;
-    for (int i = 0; i < 8; ++i) {
-      socks.push_back(net::tcp_connect(pool.port()));
-    }
-    for (std::size_t i = 0; i < socks.size(); ++i) {
-      serve::FdTransport transport(socks[i].get());
-      send_all(socks[i].get(), load_frame(text) + "ROUTE " + key + "\n");
-      const Frame load = read_frame(transport.in());
-      EXPECT_EQ(load.status.rfind("OK ", 0), 0u) << load.status;
-      const Frame route = read_frame(transport.in());
-      EXPECT_EQ(route.status.rfind("OK ", 0), 0u) << route.status;
-    }
-
-    // One more connection asks for STATS while the others are still open.
-    const net::ScopedFd ssock = net::tcp_connect(pool.port());
-    serve::FdTransport stransport(ssock.get());
-    send_all(ssock.get(), "STATS\nQUIT\n");
-    const Frame stats = read_frame(stransport.in());
-    ASSERT_EQ(stats.status.rfind("OK ", 0), 0u) << stats.status;
-    EXPECT_NE(stats.body.find("loop_reactors 4"), std::string::npos)
-        << stats.body;
-    // Aggregate block: 9 open connections across the pool, 9 accepts total.
-    EXPECT_NE(stats.body.find("loop_connections 9"), std::string::npos)
-        << stats.body;
-    EXPECT_NE(stats.body.find("loop_accepted 9"), std::string::npos);
-    EXPECT_NE(stats.body.find("loop_lag_p99_us "), std::string::npos);
-    // Per-loop shards exist for every reactor, and the shard counters sum
-    // to the aggregate.
-    std::uint64_t accepted_sum = 0;
-    for (int i = 0; i < 4; ++i) {
-      const std::string shard_key =
-          "loop" + std::to_string(i) + "_accepted ";
-      const std::size_t at = stats.body.find(shard_key);
-      ASSERT_NE(at, std::string::npos) << shard_key << "\n" << stats.body;
-      accepted_sum += std::strtoull(
-          stats.body.c_str() + at + shard_key.size(), nullptr, 10);
-      EXPECT_NE(stats.body.find("loop" + std::to_string(i) + "_commands "),
-                std::string::npos);
-    }
-    EXPECT_EQ(accepted_sum, 9u);
-    const Frame bye = read_frame(stransport.in());
-    EXPECT_EQ(bye.status, "OK 0 bye");
+  // Create the client sockets first: connecting them needs no new
+  // descriptor in this process, but each accept does.
+  constexpr std::size_t kClients = 24;
+  std::vector<net::ScopedFd> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_TRUE(clients.back());
   }
-
-  // All clients hung up: a single stop() drains every loop and run()
-  // returns — the join below is the multi-reactor shutdown barrier.
-  pool.stop();
-  pool_thread.join();
-  std::uint64_t accepted = 0;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    accepted += pool.loop(i).stats().accepted.load();
-    EXPECT_EQ(pool.loop(i).stats().connections.load(), 0u);
+  int max_fd = 0;
+  for (const auto& fd : std::filesystem::directory_iterator("/proc/self/fd")) {
+    max_fd = std::max(max_fd, std::stoi(fd.path().filename().string()));
   }
-  EXPECT_EQ(accepted, 9u);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(max_fd + 1 + 4);  // room for ~4 accepts
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  for (const net::ScopedFd& c : clients) {
+    // The listen backlog (128) holds every peer the loop cannot accept.
+    EXPECT_EQ(::connect(c.get(), reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0)
+        << std::strerror(errno);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().accepted.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t wakeups_before = server.stats().wakeups.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t wakeups_after = server.stats().wakeups.load();
+  const std::uint64_t accepted = server.stats().accepted.load();
+  // Free descriptors (half the clients hang up and the limit goes back)
+  // before any assertion can return early.
+  clients.resize(kClients / 2);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  ASSERT_TRUE(server.running()) << "accept exhaustion ended the loop";
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, kClients) << "the limit never bit";
+  // Paused, the loop only retries on a slow timer; a level-triggered
+  // listener left armed would report thousands of batches here.
+  EXPECT_LE(wakeups_after - wakeups_before, 20u);
+
+  const net::ScopedFd fresh = net::tcp_connect(server.port());
+  const timeval recv_timeout{10, 0};
+  ::setsockopt(fresh.get(), SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof recv_timeout);
+  serve::FdTransport transport(fresh.get());
+  send_all(fresh.get(), "HELLO\nQUIT\n");
+  const Frame hello = read_frame(transport.in());
+  EXPECT_EQ(hello.status.rfind("OK ", 0), 0u) << hello.status;
 }
 
 #else  // !__linux__

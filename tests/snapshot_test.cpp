@@ -602,6 +602,13 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   ASSERT_TRUE(fs::exists(file)) << "autosave never wrote " << file;
+  // The counter counts durable saves only, so it is bumped after the
+  // rename that makes the file visible: wait for it under the same
+  // deadline.
+  while (service.snapshot().pin_autosaves < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GE(service.snapshot().pin_autosaves, 1u);
 
   // The blob on disk is a valid snapshot of this pin.
