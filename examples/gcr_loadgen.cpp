@@ -1,65 +1,62 @@
-// gcr_loadgen — closed-loop load generator for the routing service.
+// gcr_loadgen — closed-loop load generator and end-to-end checker for the
+// routing daemon.
 //
-// Two modes:
+// --server PATH forks PATH (gcr_serve) and drives the framed protocol over
+// one of three transports, chosen with --transport:
 //
-//   in-process (default): builds a RoutingService and hammers it from N
-//   client threads, each issuing requests back-to-back (closed loop: the
-//   next request leaves when the previous response lands).  Measures
-//   end-to-end requests/sec against worker count and prints the service's
-//   own STATS counters.
+//   socket (default): one connection over a socketpair, served as --fd 3.
+//   pipe: one connection over the daemon's stdin/stdout.
+//   tcp: the daemon runs with --listen 0 (the bound port is parsed from its
+//   banner) and --clients threads each open their own connection.
 //
-//   --server PATH: forks PATH (gcr_serve) and drives it over a real
-//   transport — a socketpair by default, or the daemon's stdin/stdout
-//   pipes with --transport pipe — exercising the framed protocol
-//   end-to-end: LOAD, pipelined ROUTEs, STATS, QUIT.  Every ROUTE response
-//   body is parsed back (io::read_routes) and cross-checked against an
-//   in-process reference route of the same layout, so this doubles as the
-//   protocol round-trip test.
+// Every connection runs the same client session, cross-checked against an
+// in-process reference of the same seeded workload:
 //
-//   --server PATH --tcp: forks PATH with --listen 0, parses the bound port
-//   from its banner, and opens N *concurrent TCP connections* (one per
-//   client thread), each issuing closed-loop ROUTEs against the shared
-//   session.  Every response is cross-checked against the in-process
-//   reference and per-client latency percentiles plus an aggregate
-//   histogram are reported; at the end the server is sent SIGINT and must
-//   drain and exit cleanly.  This is the end-to-end proof of the epoll
-//   front-end: many clients, one worker pool, zero mismatches.
+//   - LOAD twice, or with --gen GEN twice: the workload is synthesized
+//     server-side (each client from its own seed) and the session key must
+//     match a client-side generation.  The second reply must be cached=1,
+//     the first cached=0 wherever the session is the client's alone (every
+//     GEN, and LOAD with one client).
+//   - --requests ROUTEs: every dump is parsed back (io::read_routes) and
+//     its routed count and wirelength, and the wirelength= meta, must match
+//     the reference.
+//   - With --gen, one DETAIL and one VERIFY whose meta and body must match
+//     an in-process pipeline-stage run.  Without, one REROUTE of the first
+//     two nets whose dump must match an in-process rip-up byte for byte.
+//   - With --optimize, one OPTIMIZE: the streamed PASS lines must match an
+//     in-process Optimizer run exactly (and be non-increasing), and the
+//     final dump must parse back to its result.
 //
-//   --gen (with --server): clients synthesize their workload *server-side*
-//   with the GEN verb instead of shipping a LOAD body — each TCP client
-//   from a distinct seed — and cross-check the returned session key
-//   against an identical client-side generation (GEN is deterministic, so
-//   the content-addressed key is predictable before the request is sent).
-//   Every client closes with one DETAIL and one VERIFY round trip whose
-//   meta and body must match an in-process pipeline-stage run exactly.
+// After the sessions, the closing exchange fetches STATS and TRACE (on the
+// one connection for socket/pipe, on a control connection for tcp), prints
+// STATS and audits it against what the clients observed: counter
+// conservation and per-verb counts.  --stats-out FILE also archives the
+// server's STATS and TRACE next to the clients' per-verb latency aggregates
+// as JSON.  Then QUIT, and the daemon must exit 0: after EOF for socket and
+// pipe, after a SIGINT drain for tcp.
 //
-//   --restart-dir DIR (with --server): restart-under-load smoke — PIN a
-//   session, COMMIT every net, SAVE into DIR, SIGINT-drain the server,
-//   restart it with --restore-dir DIR, claim the same handle, and verify
-//   the rehydrated pin answers the same REROUTE byte-identically.
+//   --open-loop (tcp only): instead of closed-loop sessions, pace ROUTEs at
+//   fixed offered rates over --conns pipelined connections and report the
+//   p99-vs-offered-load curve (--curve-out FILE archives it as JSON).
 //
-//   --stats-out FILE (with --tcp): before shutting the server down, a
-//   control connection fetches STATS and TRACE and FILE gets a JSON
-//   report: every server STATS counter, the TRACE dump, and the client
-//   side's own per-verb latency aggregates.  The server's counters are
-//   cross-checked against what the clients observed (counter conservation,
-//   per-verb counts), so the artifact doubles as an end-to-end audit.
+//   --restart-dir DIR: restart-under-load smoke over TCP — PIN a session,
+//   COMMIT every net, SAVE into DIR, SIGINT-drain the server, restart it
+//   with --restore-dir DIR, claim the same handle, and verify the
+//   rehydrated pin answers the same REROUTE byte-identically.
 //
-//   $ gcr_loadgen --clients 8 --requests 16 --workers 4
 //   $ gcr_loadgen --server ./example_gcr_serve --requests 8 --gen
-//   $ gcr_loadgen --server ./example_gcr_serve --tcp --clients 16
-//
-// With --optimize, every client finishes with one OPTIMIZE request: the
-// streamed PASS lines must match an in-process Optimizer run exactly (and
-// be non-increasing), and the final dump must parse back to its result.
+//   $ gcr_loadgen --server ./example_gcr_serve --transport tcp --clients 16
 //
 // The workload is a seeded workload::floorplan netlist, so runs are
 // reproducible and the reference comparison is exact.
+
+#if defined(__unix__) || defined(__APPLE__)
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,6 +70,10 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "core/netlist_router.hpp"
 #include "core/optimize.hpp"
 #include "core/search_environment.hpp"
@@ -82,19 +83,8 @@
 #include "pipeline/stage.hpp"
 #include "pipeline/stage_runner.hpp"
 #include "serve/fd_stream.hpp"
-#include "serve/protocol.hpp"
-#include "serve/routing_service.hpp"
+#include "serve/layout_session.hpp"
 #include "workload/netgen.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#define GCR_LOADGEN_HAVE_FORK 1
-#else
-#define GCR_LOADGEN_HAVE_FORK 0
-#endif
 
 #if defined(__linux__)
 #include <fcntl.h>
@@ -108,17 +98,17 @@ namespace {
 
 using namespace gcr;
 
+enum class Transport { kSocket, kPipe, kTcp };
+
 struct Config {
-  std::string server;  // empty = in-process
-  bool pipe_transport = false;
-  bool tcp = false;  // fork the server with --listen and fan out over TCP
-  std::size_t clients = 4;
-  std::size_t requests = 8;  // per client
+  std::string server;
+  Transport transport = Transport::kSocket;
+  std::size_t clients = 1;   // connections; more than one needs tcp
+  std::size_t requests = 8;  // ROUTEs per client
   std::size_t workers = 0;   // 0 = hardware threads
   std::size_t cells = 16;
   std::size_t nets = 24;
   std::uint64_t seed = 42;
-  long deadline_ms = -1;  // <0 = none
   bool optimize = false;  // finish every client with one OPTIMIZE
   bool gen = false;       // synthesize the workload server-side (GEN verb)
   /// Non-empty = restart-under-load smoke: pin a session on a first server,
@@ -126,11 +116,11 @@ struct Config {
   /// with --restore-dir, and verify the rehydrated pin answers the same
   /// REROUTE byte-identically.
   std::string restart_dir;
-  /// Non-empty (TCP mode): write a JSON audit — server STATS + TRACE next
-  /// to the clients' own per-verb aggregates — to this path before the
-  /// server is shut down.
+  /// Non-empty: write a JSON audit — server STATS + TRACE next to the
+  /// clients' own per-verb aggregates — to this path before the server is
+  /// shut down.
   std::string stats_out;
-  /// Open-loop mode (--tcp only): instead of closed-loop request/response
+  /// Open-loop mode (tcp only): instead of closed-loop request/response
   /// clients, pace ROUTEs at fixed offered rates over many pipelined
   /// connections and measure the p99-vs-offered-load curve.
   bool open_loop = false;
@@ -143,9 +133,9 @@ struct Config {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--server PATH [--transport socket|pipe] [--tcp]]\n"
+      "usage: %s --server PATH [--transport socket|pipe|tcp]\n"
       "       [--clients N] [--requests N] [--workers N]\n"
-      "       [--cells N] [--nets N] [--seed S] [--deadline-ms N]\n"
+      "       [--cells N] [--nets N] [--seed S]\n"
       "       [--optimize] [--gen] [--restart-dir DIR] [--stats-out FILE]\n"
       "       [--open-loop [--offered R1,R2,..] [--conns N] [--step-s S]\n"
       "        [--curve-out FILE]]\n",
@@ -153,15 +143,43 @@ int usage(const char* argv0) {
   return 2;
 }
 
-layout::Layout gen_workload(const Config& cfg, std::uint64_t seed) {
-  return workload::standard_workload(cfg.cells, 640, cfg.nets, seed);
+/// One seeded workload and every in-process reference a session over it
+/// is checked against.
+struct Workload {
+  layout::Layout lay;
+  std::string text;  ///< the layout as LOAD ships it
+  std::string key;   ///< its content-addressed session key
+  /// Independent routing is deterministic: every ROUTE must reproduce it.
+  route::NetlistResult route;
+  /// `REROUTE <key> nets=<first two nets>` and the dump it must answer
+  /// byte for byte (the serve path runs the same deterministic driver);
+  /// empty with --gen or fewer than two nets.
+  std::string reroute_line;
+  std::string reroute_body;
+  std::optional<route::OptimizeReport> optimize;  ///< with --optimize
+};
+
+Workload make_workload(const Config& cfg, std::uint64_t seed) {
+  Workload w{workload::standard_workload(cfg.cells, 640, cfg.nets, seed),
+             {}, {}, {}, {}, {}, std::nullopt};
+  w.text = io::write_layout_string(w.lay);
+  w.key = serve::SessionCache::content_key(w.text);
+  w.route = route::NetlistRouter(w.lay).route_all();
+  if (!cfg.gen && w.lay.nets().size() >= 2) {
+    route::NetlistOptions ropts;
+    ropts.mode = route::NetlistMode::kSequential;
+    ropts.reroute = {0, 1};
+    const route::NetlistResult rres =
+        route::NetlistRouter(w.lay).route_all(ropts);
+    w.reroute_body = io::write_routes_string(w.lay, rres, ropts.reroute);
+    w.reroute_line = "REROUTE " + w.key + " nets=" + w.lay.nets()[0].name() +
+                     "," + w.lay.nets()[1].name();
+  }
+  if (cfg.optimize) w.optimize = route::Optimizer(w.lay).run();
+  return w;
 }
 
-layout::Layout make_workload(const Config& cfg) {
-  return gen_workload(cfg, cfg.seed);
-}
-
-/// The GEN command mirroring gen_workload: the server must synthesize a
+/// The GEN command mirroring make_workload: the server must synthesize a
 /// byte-identical layout from the same seed, so the session key in its
 /// reply is predictable before the request leaves.
 std::string gen_command(const Config& cfg, std::uint64_t seed) {
@@ -179,18 +197,36 @@ struct Reply {
   std::string error;
 };
 
-/// Sends one framed request and reads one framed response.
+/// Sends one framed request and reads one framed response.  With
+/// \p passes, the PASS progress lines an OPTIMIZE streams ahead of its
+/// final frame are collected there.
 Reply transact(std::ostream& out, std::istream& in, const std::string& line,
-               const std::string& body = std::string()) {
+               const std::string& body = std::string(),
+               std::vector<route::OptimizePassStats>* passes = nullptr) {
   Reply r;
   out << line << '\n' << body;
   out.flush();
   std::string status;
-  if (!std::getline(in, status)) {
-    r.error = "connection closed before response";
-    return r;
+  for (;;) {
+    if (!std::getline(in, status)) {
+      r.error = "connection closed before response";
+      return r;
+    }
+    if (!status.empty() && status.back() == '\r') status.pop_back();
+    if (passes == nullptr || status.rfind("PASS ", 0) != 0) break;
+    route::OptimizePassStats p;
+    unsigned long long wl = 0, of = 0;
+    std::size_t pass = 0;
+    if (std::sscanf(status.c_str(), "PASS %zu wirelength=%llu overflow=%llu",
+                    &pass, &wl, &of) != 3) {
+      r.error = "malformed PASS line: " + status;
+      return r;
+    }
+    p.pass = pass;
+    p.wirelength = static_cast<geom::Cost>(wl);
+    p.overflow = static_cast<std::size_t>(of);
+    passes->push_back(p);
   }
-  if (!status.empty() && status.back() == '\r') status.pop_back();
   std::istringstream is(status);
   std::string kw;
   is >> kw;
@@ -250,91 +286,33 @@ std::string meta_token(const std::string& meta, const std::string& key) {
   return std::string();
 }
 
-/// One OPTIMIZE round trip: PASS progress lines stream ahead of the final
-/// frame, so the reader loops on lines until the first non-PASS status.
-struct OptimizeReply {
-  Reply reply;
-  std::vector<route::OptimizePassStats> passes;
-};
-
-OptimizeReply transact_optimize(std::ostream& out, std::istream& in,
-                                const std::string& line) {
-  OptimizeReply r;
-  out << line << '\n';
-  out.flush();
-  std::string status;
-  for (;;) {
-    if (!std::getline(in, status)) {
-      r.reply.error = "connection closed before response";
-      return r;
-    }
-    if (!status.empty() && status.back() == '\r') status.pop_back();
-    if (status.rfind("PASS ", 0) != 0) break;
-    route::OptimizePassStats p;
-    unsigned long long wl = 0, of = 0;
-    std::size_t pass = 0;
-    if (std::sscanf(status.c_str(), "PASS %zu wirelength=%llu overflow=%llu",
-                    &pass, &wl, &of) != 3) {
-      r.reply.error = "malformed PASS line: " + status;
-      return r;
-    }
-    p.pass = pass;
-    p.wirelength = static_cast<geom::Cost>(wl);
-    p.overflow = static_cast<std::size_t>(of);
-    r.passes.push_back(p);
-  }
-  std::istringstream is(status);
-  std::string kw;
-  is >> kw;
-  if (kw == "ERR") {
-    std::getline(is, r.reply.error);
-    return r;
-  }
-  if (kw != "OK") {
-    r.reply.error = "malformed status line: " + status;
-    return r;
-  }
-  std::size_t nbytes = 0;
-  if (!(is >> nbytes)) {
-    r.reply.error = "missing body byte count: " + status;
-    return r;
-  }
-  std::getline(is >> std::ws, r.reply.meta);
-  r.reply.body.resize(nbytes);
-  in.read(r.reply.body.data(), static_cast<std::streamsize>(nbytes));
-  if (static_cast<std::size_t>(in.gcount()) != nbytes) {
-    r.reply.error = "truncated response body";
-    return r;
-  }
-  r.reply.ok = true;
-  return r;
-}
-
 /// Cross-checks an OPTIMIZE reply against the in-process reference run:
 /// one PASS line per recorded pass, values exact and non-increasing, final
 /// dump parsing back to the reference result.  Empty string = good.
-std::string check_optimize(const OptimizeReply& r, const layout::Layout& lay,
+std::string check_optimize(const Reply& r,
+                           const std::vector<route::OptimizePassStats>& passes,
+                           const layout::Layout& lay,
                            const route::OptimizeReport& want) {
-  if (!r.reply.ok) return "OPTIMIZE: " + r.reply.error;
-  if (r.passes.empty()) return "OPTIMIZE: no PASS lines streamed";
-  if (r.passes.size() != want.passes.size()) {
-    return "OPTIMIZE: streamed " + std::to_string(r.passes.size()) +
+  if (!r.ok) return "OPTIMIZE: " + r.error;
+  if (passes.empty()) return "OPTIMIZE: no PASS lines streamed";
+  if (passes.size() != want.passes.size()) {
+    return "OPTIMIZE: streamed " + std::to_string(passes.size()) +
            " passes, reference ran " + std::to_string(want.passes.size());
   }
-  for (std::size_t i = 0; i < r.passes.size(); ++i) {
-    if (r.passes[i].pass != i + 1 ||
-        r.passes[i].wirelength != want.passes[i].wirelength ||
-        r.passes[i].overflow != want.passes[i].overflow) {
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    if (passes[i].pass != i + 1 ||
+        passes[i].wirelength != want.passes[i].wirelength ||
+        passes[i].overflow != want.passes[i].overflow) {
       return "OPTIMIZE: PASS " + std::to_string(i + 1) +
              " mismatch vs reference";
     }
-    if (i > 0 && (r.passes[i].wirelength > r.passes[i - 1].wirelength ||
-                  r.passes[i].overflow > r.passes[i - 1].overflow)) {
+    if (i > 0 && (passes[i].wirelength > passes[i - 1].wirelength ||
+                  passes[i].overflow > passes[i - 1].overflow)) {
       return "OPTIMIZE: pass curve not non-increasing";
     }
   }
   try {
-    const route::NetlistResult parsed = io::read_routes_string(r.reply.body, lay);
+    const route::NetlistResult parsed = io::read_routes_string(r.body, lay);
     if (parsed.total_wirelength != want.result.total_wirelength ||
         parsed.routed != want.result.routed) {
       return "OPTIMIZE: final dump mismatch vs reference";
@@ -372,131 +350,179 @@ std::string check_stage(const Reply& r, pipeline::StageKind kind,
   return std::string();
 }
 
-// ------------------------------------------------------------ in-process mode
+// ------------------------------------------------------------ client session
 
-int run_inproc(const Config& cfg, const std::string& layout_text,
-               const route::NetlistResult& reference) {
-  serve::RoutingService::Options sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity = std::max<std::size_t>(cfg.clients * 2, 64);
-  serve::RoutingService service(sopts);
+/// One client's tally: one ok or bad per checked reply, the first failure,
+/// and every round trip's latency for the tables and the STATS audit.
+struct ClientResult {
+  std::size_t ok = 0;
+  std::size_t bad = 0;
+  std::vector<std::pair<std::string, double>> verb_us;  ///< (verb, us)
+  std::string first_error;
 
-  const auto session = service.load(layout_text);
-  std::printf("session %s: %zu cells, %zu nets, %zu workers\n",
-              session->key.c_str(), session->layout.cells().size(),
-              session->layout.nets().size(), service.worker_count());
-
-  // In-process OPTIMIZE reference: the service must reproduce it exactly
-  // (same engine, cached environment, no builds).
-  std::optional<route::OptimizeReport> optref;
-  if (cfg.optimize) optref = route::Optimizer(session->layout).run();
-
-  std::vector<std::size_t> ok_counts(cfg.clients, 0);
-  std::vector<std::size_t> bad_counts(cfg.clients, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> clients;
-    clients.reserve(cfg.clients);
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      clients.emplace_back([&, c] {
-        for (std::size_t q = 0; q < cfg.requests; ++q) {
-          serve::RouteRequest req;
-          req.session_key = session->key;
-          if (cfg.deadline_ms >= 0) {
-            req.deadline = std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(cfg.deadline_ms);
-          }
-          const serve::RouteResponse resp = service.route(std::move(req));
-          const bool good =
-              resp.ok() &&
-              resp.result.total_wirelength == reference.total_wirelength &&
-              resp.result.routed == reference.routed;
-          (good ? ok_counts : bad_counts)[c] += 1;
-        }
-        if (cfg.optimize) {
-          serve::RouteRequest req;
-          req.session_key = session->key;
-          req.optimize = true;
-          const serve::RouteResponse resp = service.route(std::move(req));
-          const bool good =
-              resp.ok() && resp.passes.size() == optref->passes.size() &&
-              resp.result.total_wirelength ==
-                  optref->result.total_wirelength &&
-              resp.result.routed == optref->result.routed;
-          (good ? ok_counts : bad_counts)[c] += 1;
-        }
-      });
+  void check(bool good, const std::string& why) {
+    if (good) {
+      ++ok;
+      return;
     }
-    for (std::thread& t : clients) t.join();
+    ++bad;
+    if (first_error.empty()) first_error = why;
   }
-  const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+};
 
-  std::size_t ok = 0, bad = 0;
-  for (std::size_t c = 0; c < cfg.clients; ++c) {
-    ok += ok_counts[c];
-    bad += bad_counts[c];
+/// The client conversation every transport runs: open the session twice,
+/// ROUTE --requests times, then the mode's closing checks.  Client \p c of
+/// a --gen run synthesizes seed cfg.seed + c.  Sends no QUIT: the closing
+/// exchange owns the end of the connection.
+ClientResult run_client(std::istream& in, std::ostream& out, const Config& cfg,
+                        const Workload& shared, std::size_t c) {
+  ClientResult res;
+  const auto timed = [&](const std::string& verb, const std::string& line,
+                         const std::string& body = std::string(),
+                         std::vector<route::OptimizePassStats>* passes =
+                             nullptr) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Reply r = transact(out, in, line, body, passes);
+    res.verb_us.emplace_back(verb,
+                             std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+    return r;
+  };
+  std::optional<Workload> own;
+  const Workload& w =
+      cfg.gen ? own.emplace(make_workload(cfg, cfg.seed + c)) : shared;
+
+  // The second open must dedup into the first (no rebuild server-side).
+  // The first must miss wherever no other client can have opened the
+  // session: every GEN (each client has its own seed), LOAD with one
+  // client.
+  const std::string open_verb = cfg.gen ? "GEN" : "LOAD";
+  const bool exclusive = cfg.gen || cfg.clients == 1;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Reply r =
+        cfg.gen ? timed(open_verb, gen_command(cfg, cfg.seed + c))
+                : timed(open_verb, "LOAD " + std::to_string(w.text.size()),
+                        w.text);
+    if (!r.ok) {
+      res.check(false, open_verb + ": " + r.error);
+      return res;
+    }
+    if (cfg.gen && meta_token(r.meta, "session") != w.key) {
+      res.check(false, "GEN: session key mismatch vs client-side generation");
+      return res;
+    }
+    const long long cached = meta_value(r.meta, "cached");
+    res.check(attempt == 1 ? cached == 1 : !exclusive || cached == 0,
+              open_verb + " attempt " + std::to_string(attempt) +
+                  ": unexpected cached=" + std::to_string(cached));
   }
-  const std::size_t total = ok + bad;
-  std::printf("%zu requests (%zu clients x %zu), %.3f s, %.1f req/s, "
-              "%zu mismatched/failed\n",
-              total, cfg.clients, cfg.requests, secs,
-              secs > 0 ? static_cast<double>(total) / secs : 0.0, bad);
-  std::fputs(service.stats_text().c_str(), stdout);
-  return bad == 0 ? 0 : 1;
+
+  const std::string route_line = "ROUTE " + w.key;
+  for (std::size_t q = 0; q < cfg.requests; ++q) {
+    const Reply r = timed("ROUTE", route_line);
+    if (!r.ok) {
+      res.check(false, "ROUTE: " + r.error);
+      continue;
+    }
+    // Round trip: the dump must parse against the layout and reproduce
+    // the in-process reference exactly, and so must the meta.
+    try {
+      const route::NetlistResult parsed =
+          io::read_routes_string(r.body, w.lay);
+      res.check(parsed.total_wirelength == w.route.total_wirelength &&
+                    parsed.routed == w.route.routed &&
+                    meta_value(r.meta, "wirelength") ==
+                        static_cast<long long>(w.route.total_wirelength),
+                "ROUTE result mismatch vs reference");
+    } catch (const std::exception& e) {
+      res.check(false, std::string("ROUTE dump unparsable: ") + e.what());
+    }
+  }
+
+  if (cfg.gen) {
+    for (const pipeline::StageKind kind :
+         {pipeline::StageKind::kDetail, pipeline::StageKind::kVerify}) {
+      const std::string verb =
+          kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
+      const std::string err =
+          check_stage(timed(verb, verb + " " + w.key), kind, w.lay, w.route);
+      res.check(err.empty(), err);
+    }
+  } else if (!w.reroute_line.empty()) {
+    const Reply r = timed("REROUTE", w.reroute_line);
+    res.check(r.ok && r.body == w.reroute_body,
+              r.ok ? "REROUTE dump mismatch vs reference"
+                   : "REROUTE: " + r.error);
+  }
+  if (w.optimize) {
+    std::vector<route::OptimizePassStats> passes;
+    const Reply r = timed("OPTIMIZE", "OPTIMIZE " + w.key, "", &passes);
+    const std::string err = check_optimize(r, passes, w.lay, *w.optimize);
+    res.check(err.empty(), err);
+  }
+  return res;
 }
 
 // ------------------------------------------------------------ forked server
 
-#if GCR_LOADGEN_HAVE_FORK
-
 struct Child {
   pid_t pid = -1;
-  int read_fd = -1;   // responses arrive here
-  int write_fd = -1;  // requests go here
+  int read_fd = -1;        // socket/pipe: responses arrive here
+  int write_fd = -1;       // socket/pipe: requests go here
+  std::uint16_t port = 0;  // tcp: the daemon's listening port
 };
 
-/// Forks \p cfg.server speaking the protocol over a socketpair (--fd) or
-/// over its stdin/stdout pipes.  Returns pid -1 on failure.
-Child spawn_server(const Config& cfg) {
-  Child child;
+/// Forks \p cfg.server speaking over \p transport, with \p extra appended
+/// to its argv.  socket: one socketpair end, served as --fd 3.  pipe: the
+/// daemon's stdin/stdout.  tcp: --listen 0, the bound port parsed from the
+/// stdout banner ("gcr_serve: listening on 127.0.0.1:<port>").  Returns
+/// pid -1 on failure.
+Child spawn_server(const Config& cfg, Transport transport,
+                   const std::vector<std::string>& extra = {}) {
   std::vector<std::string> args{cfg.server, "--workers",
                                 std::to_string(cfg.workers)};
-  if (!cfg.pipe_transport) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return child;
-    const pid_t pid = ::fork();
-    if (pid < 0) return child;
-    if (pid == 0) {
-      ::close(sv[0]);
-      // Pin the service end to a known descriptor for --fd.
-      if (::dup2(sv[1], 3) < 0) _exit(127);
-      if (sv[1] != 3) ::close(sv[1]);
-      args.insert(args.end(), {"--fd", "3"});
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      _exit(127);
-    }
-    ::close(sv[1]);
-    child.pid = pid;
-    child.read_fd = child.write_fd = sv[0];
+  if (transport == Transport::kSocket) args.insert(args.end(), {"--fd", "3"});
+  if (transport == Transport::kTcp) args.insert(args.end(), {"--listen", "0"});
+  if (cfg.gen) {
+    // Distinct per-client seeds mean distinct sessions; the cache must
+    // hold them all or mid-run eviction would fail later ROUTEs.
+    args.insert(args.end(),
+                {"--cache",
+                 std::to_string(std::max<std::size_t>(cfg.clients * 2, 8))});
+  }
+  args.insert(args.end(), extra.begin(), extra.end());
+
+  // `from` carries the daemon's output (replies, or the tcp banner) and
+  // `to` its stdin; a socketpair carries both ways.
+  int from[2] = {-1, -1};
+  int to[2] = {-1, -1};
+  Child child;
+  if ((transport == Transport::kSocket
+           ? ::socketpair(AF_UNIX, SOCK_STREAM, 0, from)
+           : ::pipe(from)) != 0) {
     return child;
   }
-  int to_child[2], from_child[2];
-  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) return child;
+  if (transport == Transport::kPipe && ::pipe(to) != 0) {
+    ::close(from[0]);
+    ::close(from[1]);
+    return child;
+  }
   const pid_t pid = ::fork();
-  if (pid < 0) return child;
   if (pid == 0) {
-    ::dup2(to_child[0], 0);
-    ::dup2(from_child[1], 1);
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
+    ::close(from[0]);
+    if (transport == Transport::kSocket) {
+      if (::dup2(from[1], 3) < 0) _exit(127);
+      if (from[1] != 3) ::close(from[1]);
+    } else {
+      ::dup2(from[1], 1);
+      ::close(from[1]);
+      if (to[0] >= 0) {
+        ::dup2(to[0], 0);
+        ::close(to[0]);
+        ::close(to[1]);
+      }
+    }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& a : args) argv.push_back(a.data());
@@ -504,215 +530,26 @@ Child spawn_server(const Config& cfg) {
     ::execv(argv[0], argv.data());
     _exit(127);
   }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  child.pid = pid;
-  child.read_fd = from_child[0];
-  child.write_fd = to_child[1];
-  return child;
-}
-
-int run_against_server(const Config& cfg, const std::string& layout_text,
-                       const layout::Layout& lay,
-                       const route::NetlistResult& reference) {
-  const Child child = spawn_server(cfg);
-  if (child.pid < 0) {
-    std::fprintf(stderr, "loadgen: cannot spawn %s\n", cfg.server.c_str());
-    return 1;
-  }
-  std::printf("spawned %s (pid %d, %s transport)\n", cfg.server.c_str(),
-              static_cast<int>(child.pid),
-              cfg.pipe_transport ? "pipe" : "socketpair");
-
-  int failures = 0;
-  {
-    serve::FdTransport transport(child.read_fd, child.write_fd);
-    std::istream& in = transport.in();
-    std::ostream& out = transport.out();
-
-    const std::string key = serve::SessionCache::content_key(layout_text);
-    if (cfg.gen) {
-      // GEN twice: deterministic synthesis means the second request dedups
-      // into the first session (cached=1), and the key matches the
-      // client-side generation of the same seed.
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        const Reply r = transact(out, in, gen_command(cfg, cfg.seed));
-        if (!r.ok) {
-          std::fprintf(stderr, "GEN failed: %s\n", r.error.c_str());
-          return 1;
-        }
-        if (meta_token(r.meta, "session") != key) {
-          std::fprintf(stderr,
-                       "GEN attempt %d: key mismatch vs client-side "
-                       "generation (%s)\n",
-                       attempt, r.meta.c_str());
-          ++failures;
-        }
-        const long long cached = meta_value(r.meta, "cached");
-        if (cached != (attempt == 0 ? 0 : 1)) {
-          std::fprintf(stderr, "GEN attempt %d: unexpected cached=%lld\n",
-                       attempt, cached);
-          ++failures;
-        }
-      }
-    } else {
-      // LOAD twice: the second must be a cache hit (no rebuild server-side).
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        const Reply r = transact(
-            out, in, "LOAD " + std::to_string(layout_text.size()),
-            layout_text);
-        if (!r.ok) {
-          std::fprintf(stderr, "LOAD failed: %s\n", r.error.c_str());
-          return 1;
-        }
-        const long long cached = meta_value(r.meta, "cached");
-        if (cached != (attempt == 0 ? 0 : 1)) {
-          std::fprintf(stderr, "LOAD attempt %d: unexpected cached=%lld\n",
-                       attempt, cached);
-          ++failures;
-        }
-      }
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string route_line = "ROUTE " + key;
-    if (cfg.deadline_ms >= 0) {
-      route_line += " deadline_ms=" + std::to_string(cfg.deadline_ms);
-    }
-    const std::size_t total = cfg.requests * std::max<std::size_t>(cfg.clients, 1);
-    for (std::size_t q = 0; q < total; ++q) {
-      const Reply r = transact(out, in, route_line);
-      if (!r.ok) {
-        std::fprintf(stderr, "ROUTE %zu failed: %s\n", q, r.error.c_str());
-        ++failures;
-        continue;
-      }
-      // Round trip: the dump must parse against the layout and reproduce
-      // the in-process reference exactly.
-      try {
-        const route::NetlistResult parsed = io::read_routes_string(r.body, lay);
-        if (parsed.total_wirelength != reference.total_wirelength ||
-            parsed.routed != reference.routed ||
-            meta_value(r.meta, "wirelength") !=
-                static_cast<long long>(reference.total_wirelength)) {
-          std::fprintf(stderr, "ROUTE %zu: result mismatch vs reference\n", q);
-          ++failures;
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "ROUTE %zu: dump unparsable: %s\n", q, e.what());
-        ++failures;
-      }
-    }
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    std::printf("%zu round trips, %.3f s, %.1f req/s, %d failures\n", total,
-                secs, secs > 0 ? static_cast<double>(total) / secs : 0.0,
-                failures);
-
-    if (cfg.optimize) {
-      const route::OptimizeReport optref = route::Optimizer(lay).run();
-      const OptimizeReply orep =
-          transact_optimize(out, in, "OPTIMIZE " + key);
-      const std::string err = check_optimize(orep, lay, optref);
-      if (err.empty()) {
-        std::printf("OPTIMIZE: %zu passes streamed, final wirelength %lld\n",
-                    orep.passes.size(),
-                    static_cast<long long>(optref.result.total_wirelength));
-      } else {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        ++failures;
-      }
-    }
-
-    if (cfg.gen) {
-      // One DETAIL and one VERIFY round trip, each checked against an
-      // in-process pipeline-stage run over the reference route.
-      for (const pipeline::StageKind kind :
-           {pipeline::StageKind::kDetail, pipeline::StageKind::kVerify}) {
-        const std::string verb =
-            kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
-        const Reply r = transact(out, in, verb + " " + key);
-        const std::string err = check_stage(r, kind, lay, reference);
-        if (!err.empty()) {
-          std::fprintf(stderr, "%s\n", err.c_str());
-          ++failures;
-        }
-      }
-    }
-
-    const Reply stats = transact(out, in, "STATS");
-    if (stats.ok) {
-      std::fputs(stats.body.c_str(), stdout);
-    } else {
-      std::fprintf(stderr, "STATS failed: %s\n", stats.error.c_str());
-      ++failures;
-    }
-    const Reply bye = transact(out, in, "QUIT");
-    if (!bye.ok) ++failures;
-  }
-  ::close(child.write_fd);
-  if (child.read_fd != child.write_fd) ::close(child.read_fd);
-
-  int status = 0;
-  ::waitpid(child.pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "server exited abnormally (status %d)\n", status);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-// ------------------------------------------------------------ TCP fan-out
-
-struct TcpChild {
-  pid_t pid = -1;
-  std::uint16_t port = 0;
-};
-
-/// Forks \p cfg.server with `--listen 0` and parses the bound port from its
-/// stdout banner ("gcr_serve: listening on 127.0.0.1:<port>").
-TcpChild spawn_tcp_server(const Config& cfg,
-                          const std::vector<std::string>& extra = {}) {
-  TcpChild child;
-  int out_pipe[2];
-  if (::pipe(out_pipe) != 0) return child;
-  const pid_t pid = ::fork();
+  ::close(from[1]);
+  if (to[0] >= 0) ::close(to[0]);
   if (pid < 0) {
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
+    ::close(from[0]);
+    if (to[1] >= 0) ::close(to[1]);
     return child;
   }
-  if (pid == 0) {
-    ::dup2(out_pipe[1], 1);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    std::vector<std::string> args{cfg.server, "--workers",
-                                  std::to_string(cfg.workers), "--listen",
-                                  "0"};
-    if (cfg.gen) {
-      // Distinct per-client seeds mean distinct sessions; the cache must
-      // hold them all or mid-run eviction would fail later ROUTEs.
-      args.insert(args.end(),
-                  {"--cache", std::to_string(std::max<std::size_t>(
-                                  cfg.clients * 2, 8))});
-    }
-    args.insert(args.end(), extra.begin(), extra.end());
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    _exit(127);
+  if (transport != Transport::kTcp) {
+    child.pid = pid;
+    child.read_fd = from[0];
+    child.write_fd = transport == Transport::kPipe ? to[1] : from[0];
+    return child;
   }
-  ::close(out_pipe[1]);
   std::string banner;
   char c = 0;
   while (banner.find('\n') == std::string::npos &&
-         ::read(out_pipe[0], &c, 1) == 1) {
+         ::read(from[0], &c, 1) == 1) {
     banner.push_back(c);
   }
-  ::close(out_pipe[0]);
+  ::close(from[0]);
   const std::size_t colon = banner.rfind(':');
   if (colon != std::string::npos) {
     const long port = std::strtol(banner.c_str() + colon + 1, nullptr, 10);
@@ -727,6 +564,19 @@ TcpChild spawn_tcp_server(const Config& cfg,
   return child;
 }
 
+/// Waits for a server and reports whether it exited 0.
+bool reap(pid_t pid) {
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+/// SIGINTs a server and reports whether it drained and exited cleanly.
+bool drain_server(pid_t pid) {
+  ::kill(pid, SIGINT);
+  return reap(pid);
+}
+
 /// Nearest-rank percentile of an (unsorted) latency sample, microseconds:
 /// the ceil(q/100 * N)-th smallest value.
 double percentile_us(std::vector<double>& v, double q) {
@@ -737,33 +587,27 @@ double percentile_us(std::vector<double>& v, double q) {
   return v[nth == 0 ? 0 : std::min(v.size(), nth) - 1];
 }
 
-/// Fetches STATS + TRACE over a fresh control connection, cross-checks the
-/// server's counters against the clients' observations, and writes the
-/// combined JSON audit to cfg.stats_out.  Returns the number of
-/// cross-check failures.
-int write_stats_audit(const Config& cfg, std::uint16_t port,
-                      std::map<std::string, std::vector<double>>& verb_lat,
-                      std::size_t client_ok, std::size_t client_bad) {
-  std::string stats_body, trace_body;
-  {
-    const net::ScopedFd sock = net::tcp_connect(port);
-    serve::FdTransport transport(sock.get());
-    const Reply stats = transact(transport.out(), transport.in(), "STATS");
-    const Reply trace = transact(transport.out(), transport.in(), "TRACE");
-    transact(transport.out(), transport.in(), "QUIT");
-    if (!stats.ok || !trace.ok) {
-      std::fprintf(stderr, "stats audit: control connection failed (%s%s)\n",
-                   stats.error.c_str(), trace.error.c_str());
-      return 1;
-    }
-    stats_body = stats.body;
-    trace_body = trace.body;
+/// The closing exchange: fetches STATS + TRACE over \p in / \p out and
+/// sends QUIT, prints STATS, cross-checks the server's counters against the
+/// clients' observations and, with --stats-out, writes the combined JSON
+/// audit.  Returns the number of failures.
+int close_exchange(const Config& cfg, std::istream& in, std::ostream& out,
+                   std::map<std::string, std::vector<double>>& verb_lat,
+                   std::size_t client_ok, std::size_t client_bad) {
+  const Reply stats = transact(out, in, "STATS");
+  const Reply trace = transact(out, in, "TRACE");
+  const Reply bye = transact(out, in, "QUIT");
+  if (!stats.ok || !trace.ok || !bye.ok) {
+    std::fprintf(stderr, "closing exchange failed (%s%s%s)\n",
+                 stats.error.c_str(), trace.error.c_str(), bye.error.c_str());
+    return 1;
   }
+  std::fputs(stats.body.c_str(), stdout);
 
   // `<key> <value>` per line, every value numeric.
   std::map<std::string, long long> server;
   {
-    std::istringstream is(stats_body);
+    std::istringstream is(stats.body);
     std::string k;
     long long v = 0;
     while (is >> k >> v) server[k] = v;
@@ -775,7 +619,7 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
 
   int failures = 0;
   // Counter conservation: every admitted request ended in exactly one
-  // terminal state.  The control connection's own STATS/TRACE are answered
+  // terminal state.  The closing exchange's own STATS/TRACE are answered
   // inline (never submitted), so the equality is exact even now.
   const long long submitted = counter("requests_submitted");
   const long long terminal =
@@ -806,6 +650,7 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
   check_verb("REROUTE", "verb_reroute_count");
   check_verb("OPTIMIZE", "verb_optimize_count");
   check_verb("GEN", "verb_gen_count");
+  if (cfg.stats_out.empty()) return failures;
 
   std::ofstream os(cfg.stats_out);
   if (!os) {
@@ -821,7 +666,7 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
   }
   os << "\n  },\n  \"trace\": [";
   {
-    std::istringstream is(trace_body);
+    std::istringstream is(trace.body);
     std::string line;
     first = true;
     while (std::getline(is, line)) {
@@ -851,216 +696,30 @@ int write_stats_audit(const Config& cfg, std::uint16_t port,
   return failures;
 }
 
-int run_tcp(const Config& cfg, const std::string& layout_text,
-            const layout::Layout& lay, const route::NetlistResult& reference) {
-  std::signal(SIGPIPE, SIG_IGN);
-  const TcpChild child = spawn_tcp_server(cfg);
-  if (child.pid < 0) {
-    std::fprintf(stderr, "loadgen: cannot spawn %s --listen 0\n",
-                 cfg.server.c_str());
-    return 1;
-  }
-  std::printf("spawned %s (pid %d) listening on 127.0.0.1:%u\n",
-              cfg.server.c_str(), static_cast<int>(child.pid),
-              static_cast<unsigned>(child.port));
-
-  struct ClientResult {
-    std::size_t ok = 0;
-    std::size_t bad = 0;
-    std::vector<double> lat_us;
-    /// (verb, round-trip us) for every framed request this client sent —
-    /// the per-verb table and the --stats-out audit aggregate these.
-    std::vector<std::pair<std::string, double>> verb_us;
-    std::string first_error;
-  };
-  std::vector<ClientResult> results(cfg.clients);
-  const std::string key = serve::SessionCache::content_key(layout_text);
-
-  // Rip-up-and-reroute reference: every client finishes with one
-  // `REROUTE nets=<first two nets>` whose dump must match this
-  // byte-for-byte (the serve path runs the same deterministic driver).
-  std::string reroute_line, reroute_body;
-  if (!cfg.gen && lay.nets().size() >= 2) {
-    route::NetlistOptions ropts;
-    ropts.mode = route::NetlistMode::kSequential;
-    ropts.reroute = {0, 1};
-    const route::NetlistResult rres =
-        route::NetlistRouter(lay).route_all(ropts);
-    reroute_body = io::write_routes_string(lay, rres, ropts.reroute);
-    reroute_line = "REROUTE " + key + " nets=" + lay.nets()[0].name() + "," +
-                   lay.nets()[1].name();
-  }
-
-  // OPTIMIZE reference: one in-process run; every client's streamed curve
-  // and final dump must reproduce it exactly.
-  std::optional<route::OptimizeReport> optref;
-  if (cfg.optimize) optref = route::Optimizer(lay).run();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.clients);
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      threads.emplace_back([&, c] {
-        ClientResult& res = results[c];
-        const auto fail = [&res](const std::string& why) {
-          ++res.bad;
-          if (res.first_error.empty()) res.first_error = why;
-        };
-        try {
-          // GEN mode: every client synthesizes its own workload server-side
-          // from a distinct seed, so its layout, reference route, and
-          // session key differ from the shared (seed-0) ones.
-          std::optional<layout::Layout> own_lay;
-          std::optional<route::NetlistResult> own_ref;
-          const layout::Layout* clay = &lay;
-          const route::NetlistResult* cref = &reference;
-          std::string ckey = key;
-          if (cfg.gen) {
-            own_lay.emplace(gen_workload(cfg, cfg.seed + c));
-            own_ref.emplace(route::NetlistRouter(*own_lay).route_all());
-            clay = &*own_lay;
-            cref = &*own_ref;
-            ckey = serve::SessionCache::content_key(
-                io::write_layout_string(*own_lay));
-          }
-
-          const net::ScopedFd sock = net::tcp_connect(child.port);
-          serve::FdTransport transport(sock.get());
-          std::istream& in = transport.in();
-          std::ostream& out = transport.out();
-
-          // Every framed round trip lands in the per-verb sample list.
-          const auto timed = [&](const char* verb, const std::string& line,
-                                 const std::string& body = std::string()) {
-            const auto s0 = std::chrono::steady_clock::now();
-            Reply r = transact(out, in, line, body);
-            res.verb_us.emplace_back(
-                verb, std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - s0)
-                          .count());
-            return r;
-          };
-
-          if (cfg.gen) {
-            const Reply genned =
-                timed("GEN", gen_command(cfg, cfg.seed + c));
-            if (!genned.ok) {
-              fail("GEN: " + genned.error);
-              return;
-            }
-            if (meta_token(genned.meta, "session") != ckey) {
-              fail("GEN: session key mismatch vs client-side generation");
-              return;
-            }
-            ++res.ok;
-          } else {
-            const Reply loaded = timed(
-                "LOAD", "LOAD " + std::to_string(layout_text.size()),
-                layout_text);
-            if (!loaded.ok) {
-              fail("LOAD: " + loaded.error);
-              return;
-            }
-          }
-          std::string route_line = "ROUTE " + ckey;
-          if (cfg.deadline_ms >= 0) {
-            route_line += " deadline_ms=" + std::to_string(cfg.deadline_ms);
-          }
-          for (std::size_t q = 0; q < cfg.requests; ++q) {
-            const Reply r = timed("ROUTE", route_line);
-            res.lat_us.push_back(res.verb_us.back().second);
-            if (!r.ok) {
-              fail("ROUTE: " + r.error);
-              continue;
-            }
-            try {
-              const route::NetlistResult parsed =
-                  io::read_routes_string(r.body, *clay);
-              if (parsed.total_wirelength != cref->total_wirelength ||
-                  parsed.routed != cref->routed) {
-                fail("ROUTE result mismatch vs reference");
-              } else {
-                ++res.ok;
-              }
-            } catch (const std::exception& e) {
-              fail(std::string("dump unparsable: ") + e.what());
-            }
-          }
-          if (cfg.gen) {
-            // One DETAIL and one VERIFY round trip per client, checked
-            // against an in-process stage run over this client's reference.
-            for (const pipeline::StageKind kind :
-                 {pipeline::StageKind::kDetail,
-                  pipeline::StageKind::kVerify}) {
-              const std::string verb =
-                  kind == pipeline::StageKind::kDetail ? "DETAIL" : "VERIFY";
-              const Reply r = timed(verb.c_str(), verb + " " + ckey);
-              const std::string err = check_stage(r, kind, *clay, *cref);
-              if (err.empty()) {
-                ++res.ok;
-              } else {
-                fail(err);
-              }
-            }
-          }
-          if (!reroute_line.empty()) {
-            const Reply rr = timed("REROUTE", reroute_line);
-            if (!rr.ok) {
-              fail("REROUTE: " + rr.error);
-            } else if (rr.body != reroute_body) {
-              fail("REROUTE dump mismatch vs reference");
-            } else {
-              ++res.ok;
-            }
-          }
-          if (cfg.optimize) {
-            const auto s0 = std::chrono::steady_clock::now();
-            const OptimizeReply orep =
-                transact_optimize(out, in, "OPTIMIZE " + key);
-            res.verb_us.emplace_back(
-                "OPTIMIZE", std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - s0)
-                                .count());
-            const std::string err = check_optimize(orep, lay, *optref);
-            if (err.empty()) {
-              ++res.ok;
-            } else {
-              fail(err);
-            }
-          }
-          const Reply bye = transact(out, in, "QUIT");
-          if (!bye.ok) fail("QUIT: " + bye.error);
-        } catch (const std::exception& e) {
-          fail(e.what());
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
-  std::size_t ok = 0, bad = 0;
-  std::vector<double> all_us;
-  for (std::size_t c = 0; c < cfg.clients; ++c) {
-    ok += results[c].ok;
-    bad += results[c].bad;
-    all_us.insert(all_us.end(), results[c].lat_us.begin(),
-                  results[c].lat_us.end());
-  }
-  std::printf("%zu TCP round trips (%zu connections x %zu), %.3f s, "
+/// Prints the clients' tallies — totals, per-client ROUTE latency, an
+/// aggregate ROUTE histogram, per-verb round-trip latency — and returns
+/// the per-verb samples for the STATS audit.
+std::map<std::string, std::vector<double>> report_clients(
+    const Config& cfg, const std::vector<ClientResult>& results, double secs,
+    std::size_t ok, std::size_t bad) {
+  std::printf("%zu round trips (%zu connections x %zu ROUTEs), %.3f s, "
               "%.1f req/s, %zu mismatched/failed\n",
               ok + bad, cfg.clients, cfg.requests, secs,
               secs > 0 ? static_cast<double>(ok + bad) / secs : 0.0, bad);
 
   // Per-client latency: every connection must see service, not just the
   // aggregate — a starved client hides inside a global histogram.
+  std::map<std::string, std::vector<double>> verb_lat;
+  std::vector<double> all_us;
   std::printf("  %-8s %8s %10s %10s %10s\n", "client", "reqs", "p50_us",
               "p95_us", "max_us");
-  for (std::size_t c = 0; c < cfg.clients; ++c) {
-    std::vector<double>& v = results[c].lat_us;
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    std::vector<double> v;
+    for (const auto& [verb, us] : results[c].verb_us) {
+      verb_lat[verb].push_back(us);
+      if (verb == "ROUTE") v.push_back(us);
+    }
+    all_us.insert(all_us.end(), v.begin(), v.end());
     const double mx = v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
     std::printf("  %-8zu %8zu %10.0f %10.0f %10.0f\n", c, v.size(),
                 percentile_us(v, 50), percentile_us(v, 95), mx);
@@ -1069,28 +728,23 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
                   results[c].first_error.c_str());
     }
   }
-  // Aggregate histogram in power-of-two microsecond buckets.
-  if (!all_us.empty()) {
-    std::vector<std::size_t> buckets;
-    for (const double us : all_us) {
-      std::size_t b = 0;
-      while ((1u << b) < us && b < 31) ++b;
-      if (buckets.size() <= b) buckets.resize(b + 1, 0);
-      ++buckets[b];
-    }
+  // Aggregate ROUTE histogram in power-of-two microsecond buckets.
+  std::vector<std::size_t> buckets;
+  for (const double us : all_us) {
+    std::size_t b = 0;
+    while ((1u << b) < us && b < 31) ++b;
+    if (buckets.size() <= b) buckets.resize(b + 1, 0);
+    ++buckets[b];
+  }
+  if (!buckets.empty()) {
     std::printf("  latency histogram (us, all clients):\n");
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       if (buckets[b] == 0) continue;
       std::printf("    <= %8u : %zu\n", 1u << b, buckets[b]);
     }
   }
-
   // Per-verb latency across all clients: STATS shards these server-side,
   // and this table is the client-side view of the same split.
-  std::map<std::string, std::vector<double>> verb_lat;
-  for (const ClientResult& r : results) {
-    for (const auto& [verb, us] : r.verb_us) verb_lat[verb].push_back(us);
-  }
   std::printf("  per-verb round-trip latency (all clients):\n");
   std::printf("    %-10s %8s %10s %10s %10s\n", "verb", "count", "p50_us",
               "p95_us", "max_us");
@@ -1099,23 +753,83 @@ int run_tcp(const Config& cfg, const std::string& layout_text,
     std::printf("    %-10s %8zu %10.0f %10.0f %10.0f\n", verb.c_str(),
                 v.size(), percentile_us(v, 50), percentile_us(v, 95), mx);
   }
+  return verb_lat;
+}
 
+/// Closed-loop mode: spawns the daemon, runs one client session per
+/// connection (--clients threads over tcp, the one connection otherwise),
+/// then the closing exchange; the daemon must exit 0 afterwards.
+int run_sessions(const Config& cfg, const Workload& shared) {
+  const Child child = spawn_server(cfg, cfg.transport);
+  if (child.pid < 0) {
+    std::fprintf(stderr, "loadgen: cannot spawn %s\n", cfg.server.c_str());
+    return 1;
+  }
+  const bool tcp = cfg.transport == Transport::kTcp;
+  std::printf("spawned %s (pid %d, %s transport", cfg.server.c_str(),
+              static_cast<int>(child.pid),
+              tcp ? "tcp" : cfg.transport == Transport::kPipe ? "pipe"
+                                                              : "socketpair");
+  if (tcp) std::printf(", 127.0.0.1:%u", static_cast<unsigned>(child.port));
+  std::printf(")\n");
+
+  std::vector<ClientResult> results(cfg.clients);
+  std::optional<serve::FdTransport> conn;  // socket/pipe: the one connection
+  const auto t0 = std::chrono::steady_clock::now();
+  if (tcp) {
+    std::vector<std::thread> threads;
+    threads.reserve(cfg.clients);
+    for (std::size_t c = 0; c < cfg.clients; ++c) {
+      threads.emplace_back([&, c] {
+        try {
+          const net::ScopedFd sock = net::tcp_connect(child.port);
+          serve::FdTransport transport(sock.get());
+          results[c] =
+              run_client(transport.in(), transport.out(), cfg, shared, c);
+        } catch (const std::exception& e) {
+          results[c].check(false, e.what());
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  } else {
+    conn.emplace(child.read_fd, child.write_fd);
+    results[0] = run_client(conn->in(), conn->out(), cfg, shared, 0);
+  }
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+
+  std::size_t ok = 0, bad = 0;
+  for (const ClientResult& r : results) {
+    ok += r.ok;
+    bad += r.bad;
+  }
+  std::map<std::string, std::vector<double>> verb_lat =
+      report_clients(cfg, results, secs, ok, bad);
   int failures = static_cast<int>(bad);
 
-  // --stats-out: one control connection reads the server's own view (STATS
-  // + TRACE) while it is still up, cross-checks it against what the
-  // clients measured, and archives both sides as JSON.
-  if (!cfg.stats_out.empty()) {
-    failures += write_stats_audit(cfg, child.port, verb_lat, ok, bad);
+  // The closing exchange rides the one connection, or over tcp a fresh
+  // control connection.
+  net::ScopedFd control;
+  try {
+    if (tcp) {
+      control = net::tcp_connect(child.port);
+      conn.emplace(control.get());
+    }
+    failures += close_exchange(cfg, conn->in(), conn->out(), verb_lat, ok, bad);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "control connection: %s\n", e.what());
+    ++failures;
   }
-
-  // Graceful shutdown: SIGINT must drain and exit 0.
-  ::kill(child.pid, SIGINT);
-  int status = 0;
-  ::waitpid(child.pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "server did not shut down cleanly (status %d)\n",
-                 status);
+  conn.reset();
+  // socket/pipe: EOF after QUIT ends the daemon; tcp: a SIGINT drain.
+  if (!tcp) {
+    ::close(child.write_fd);
+    if (child.read_fd != child.write_fd) ::close(child.read_fd);
+  }
+  if (!(tcp ? drain_server(child.pid) : reap(child.pid))) {
+    std::fprintf(stderr, "server did not exit cleanly\n");
     ++failures;
   }
   return failures == 0 ? 0 : 1;
@@ -1312,11 +1026,10 @@ OpenStep run_open_step(std::uint16_t port, const std::string& request,
 /// steps, printing the p99-vs-offered-load curve and optionally archiving
 /// it as a JSON artifact (the CI saturation plot).
 int run_open_loop(const Config& cfg, const std::string& layout_text) {
-  std::signal(SIGPIPE, SIG_IGN);
   // The daemon's default connection cap (256) would refuse most of a large
   // --conns sweep.
-  const TcpChild child =
-      spawn_tcp_server(cfg, {"--max-conns", std::to_string(cfg.conns)});
+  const Child child = spawn_server(cfg, Transport::kTcp,
+                                   {"--max-conns", std::to_string(cfg.conns)});
   if (child.pid < 0) {
     std::fprintf(stderr, "loadgen: cannot spawn %s --listen 0\n",
                  cfg.server.c_str());
@@ -1395,12 +1108,8 @@ int run_open_loop(const Config& cfg, const std::string& layout_text) {
     }
   }
 
-  ::kill(child.pid, SIGINT);
-  int status = 0;
-  ::waitpid(child.pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "server did not shut down cleanly (status %d)\n",
-                 status);
+  if (!drain_server(child.pid)) {
+    std::fprintf(stderr, "server did not drain cleanly\n");
     ++failures;
   }
   return failures == 0 ? 0 : 1;
@@ -1409,14 +1118,6 @@ int run_open_loop(const Config& cfg, const std::string& layout_text) {
 #endif  // GCR_LOADGEN_HAVE_EPOLL
 
 // ------------------------------------------------------------ restart smoke
-
-/// SIGINTs a server and reports whether it drained and exited cleanly.
-bool drain_server(pid_t pid) {
-  ::kill(pid, SIGINT);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
 
 /// Restart-under-load smoke: proves a pinned session survives a full
 /// server restart.  Server 1 (--snapshot-dir) serves HELLO + LOAD + PIN +
@@ -1428,7 +1129,6 @@ bool drain_server(pid_t pid) {
 /// excluded — only routed/failed/wirelength and the dump are compared).
 int run_restart(const Config& cfg, const std::string& layout_text,
                 const layout::Layout& lay) {
-  std::signal(SIGPIPE, SIG_IGN);
   if (lay.nets().size() < 2) {
     std::fprintf(stderr, "restart smoke needs a workload with >= 2 nets\n");
     return 1;
@@ -1454,8 +1154,8 @@ int run_restart(const Config& cfg, const std::string& layout_text,
 
   // ---- phase 1: pin, commit, save, record the reference answer, drain.
   {
-    const TcpChild server =
-        spawn_tcp_server(cfg, {"--snapshot-dir", cfg.restart_dir});
+    const Child server = spawn_server(cfg, Transport::kTcp,
+                                      {"--snapshot-dir", cfg.restart_dir});
     if (server.pid < 0) {
       std::fprintf(stderr, "loadgen: cannot spawn %s --listen 0\n",
                    cfg.server.c_str());
@@ -1522,8 +1222,8 @@ int run_restart(const Config& cfg, const std::string& layout_text,
 
   // ---- phase 2: restore, claim the handle, repeat the REROUTE, compare.
   {
-    const TcpChild server =
-        spawn_tcp_server(cfg, {"--restore-dir", cfg.restart_dir});
+    const Child server = spawn_server(cfg, Transport::kTcp,
+                                      {"--restore-dir", cfg.restart_dir});
     if (server.pid < 0) {
       std::fprintf(stderr, "loadgen: cannot respawn %s --listen 0\n",
                    cfg.server.c_str());
@@ -1567,27 +1267,6 @@ int run_restart(const Config& cfg, const std::string& layout_text,
   return failures == 0 ? 0 : 1;
 }
 
-#else  // !GCR_LOADGEN_HAVE_FORK
-
-int run_against_server(const Config&, const std::string&,
-                       const layout::Layout&, const route::NetlistResult&) {
-  std::fprintf(stderr, "--server requires a POSIX platform\n");
-  return 1;
-}
-
-int run_tcp(const Config&, const std::string&, const layout::Layout&,
-            const route::NetlistResult&) {
-  std::fprintf(stderr, "--tcp requires a POSIX platform\n");
-  return 1;
-}
-
-int run_restart(const Config&, const std::string&, const layout::Layout&) {
-  std::fprintf(stderr, "--restart-dir requires a POSIX platform\n");
-  return 1;
-}
-
-#endif  // GCR_LOADGEN_HAVE_FORK
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1612,11 +1291,16 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--transport" && v != nullptr) {
       const std::string t = v;
-      if (t != "socket" && t != "pipe") return usage(argv[0]);
-      cfg.pipe_transport = t == "pipe";
+      if (t == "socket") {
+        cfg.transport = Transport::kSocket;
+      } else if (t == "pipe") {
+        cfg.transport = Transport::kPipe;
+      } else if (t == "tcp") {
+        cfg.transport = Transport::kTcp;
+      } else {
+        return usage(argv[0]);
+      }
       ++i;
-    } else if (arg == "--tcp") {
-      cfg.tcp = true;
     } else if (arg == "--optimize") {
       cfg.optimize = true;
     } else if (arg == "--gen") {
@@ -1645,8 +1329,6 @@ int main(int argc, char** argv) {
       cfg.nets = n;
     } else if (arg == "--seed" && number(SIZE_MAX, &n)) {
       cfg.seed = n;
-    } else if (arg == "--deadline-ms" && number(1 << 30, &n)) {
-      cfg.deadline_ms = static_cast<long>(n);
     } else if (arg == "--restart-dir" && v != nullptr && v[0] != '\0') {
       cfg.restart_dir = v;
       ++i;
@@ -1657,13 +1339,13 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (!cfg.stats_out.empty() && !cfg.tcp) {
-    std::fprintf(stderr, "--stats-out needs --tcp (the audit connection "
-                 "rides the TCP front-end)\n");
+  if (cfg.server.empty()) {
+    std::fprintf(stderr, "--server PATH is required\n");
     return usage(argv[0]);
   }
-  if (cfg.gen && cfg.server.empty()) {
-    std::fprintf(stderr, "--gen needs --server PATH (GEN is a protocol verb)\n");
+  if (cfg.clients > 1 && cfg.transport != Transport::kTcp) {
+    std::fprintf(stderr, "--clients > 1 needs --transport tcp (socket and "
+                 "pipe carry one connection)\n");
     return usage(argv[0]);
   }
   if (cfg.gen && cfg.optimize) {
@@ -1672,48 +1354,46 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--gen and --optimize are mutually exclusive\n");
     return usage(argv[0]);
   }
-  if (cfg.open_loop && !cfg.tcp) {
-    std::fprintf(stderr, "--open-loop needs --tcp\n");
+  if (cfg.open_loop && cfg.transport != Transport::kTcp) {
+    std::fprintf(stderr, "--open-loop needs --transport tcp\n");
     return usage(argv[0]);
   }
 
+  // A daemon that dies mid-write must fail the run, not kill it.
+  std::signal(SIGPIPE, SIG_IGN);
   try {
-    const layout::Layout lay = make_workload(cfg);
-    const std::string text = io::write_layout_string(lay);
-    // One in-process reference route: the ground truth every response is
-    // compared against (independent routing is deterministic).
-    const route::NetlistRouter ref_router(lay);
-    const route::NetlistResult reference = ref_router.route_all();
+    const Workload shared = make_workload(cfg, cfg.seed);
     std::printf("workload: %zu cells, %zu nets, reference wirelength %lld "
                 "(%zu routed, %zu failed)\n",
-                lay.cells().size(), lay.nets().size(),
-                static_cast<long long>(reference.total_wirelength),
-                reference.routed, reference.failed);
+                shared.lay.cells().size(), shared.lay.nets().size(),
+                static_cast<long long>(shared.route.total_wirelength),
+                shared.route.routed, shared.route.failed);
 
-    if (cfg.server.empty()) {
-      if (cfg.tcp) {
-        std::fprintf(stderr, "--tcp needs --server PATH\n");
-        return usage(argv[0]);
-      }
-      if (!cfg.restart_dir.empty()) {
-        std::fprintf(stderr, "--restart-dir needs --server PATH\n");
-        return usage(argv[0]);
-      }
-      return run_inproc(cfg, text, reference);
+    if (!cfg.restart_dir.empty()) {
+      return run_restart(cfg, shared.text, shared.lay);
     }
-    if (!cfg.restart_dir.empty()) return run_restart(cfg, text, lay);
     if (cfg.open_loop) {
 #if GCR_LOADGEN_HAVE_EPOLL
-      return run_open_loop(cfg, text);
+      return run_open_loop(cfg, shared.text);
 #else
       std::fprintf(stderr, "--open-loop requires Linux epoll\n");
       return 2;
 #endif
     }
-    if (cfg.tcp) return run_tcp(cfg, text, lay, reference);
-    return run_against_server(cfg, text, lay, reference);
+    return run_sessions(cfg, shared);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "loadgen: fatal: %s\n", e.what());
     return 1;
   }
 }
+
+#else  // neither unix nor Apple
+
+#include <cstdio>
+
+int main() {
+  std::fputs("gcr_loadgen requires a POSIX platform\n", stderr);
+  return 1;
+}
+
+#endif

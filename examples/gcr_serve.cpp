@@ -176,8 +176,9 @@ int main(int argc, char** argv) {
       std::signal(SIGINT, on_shutdown_signal);
       std::signal(SIGTERM, on_shutdown_signal);
       std::signal(SIGPIPE, SIG_IGN);
-      // The banner is the contract with spawners (gcr_loadgen --tcp, the CI
-      // smoke job): parse the bound port from stdout when --listen 0.
+      // The banner is the contract with spawners (gcr_loadgen --transport
+      // tcp, the CI smoke job): parse the bound port from stdout when
+      // --listen 0.
       std::printf("gcr_serve: listening on 127.0.0.1:%u\n",
                   static_cast<unsigned>(loop.port()));
       std::fflush(stdout);

@@ -41,8 +41,8 @@ namespace gcr::net {
 
 class Connection {
  public:
-  Connection(ScopedFd fd, std::uint64_t id, const FrameParser::Options& popts)
-      : fd_(std::move(fd)), id_(id), parser_(popts),
+  Connection(ScopedFd fd, std::uint64_t id)
+      : fd_(std::move(fd)), id_(id),
         cancel_(std::make_shared<std::atomic<bool>>(false)) {}
 
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }

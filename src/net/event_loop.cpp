@@ -240,7 +240,7 @@ void EventLoop::accept_ready(Listener& from) {
                    sizeof opts_.so_sndbuf);
     }
     const std::uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(std::move(fd), id, opts_.parser);
+    auto conn = std::make_unique<Connection>(std::move(fd), id);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = id;

@@ -83,7 +83,6 @@ struct EventLoopOptions {
   /// Accepted peers share the Connection/FrameParser path verbatim with
   /// TCP peers; the socket file is unlinked when the loop is destroyed.
   std::string unix_path;
-  FrameParser::Options parser{};
 };
 
 /// The loop's counters, in STATS order.  Exported into the STATS body (as

@@ -194,7 +194,7 @@ struct MetricsSnapshot : ServiceCounters<std::uint64_t> {
   std::uint32_t protocol_version = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
-  /// Weighted-fair dispatch: live shard count, DRR ring rotations, the age
+  /// Fair (round-robin) dispatch: live shard count, ring rotations, the age
   /// of the oldest queued item anywhere (the starvation gauge), and one
   /// entry per live shard in service order.
   std::size_t queue_shards = 0;

@@ -74,6 +74,10 @@ bool parse_handle(const std::string& handle, std::uint64_t* out) {
   return true;
 }
 
+bool owner_closed(const PinRegistry::Owner& owner) {
+  return owner != nullptr && owner->load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::shared_ptr<PinnedSession> PinRegistry::create(
@@ -82,6 +86,9 @@ std::shared_ptr<PinnedSession> PinRegistry::create(
   // Copy-on-pin happens outside the lock: duplicating the environment's
   // vectors is the expensive part and needs no registry state.
   const std::lock_guard<std::mutex> lock(mu_);
+  // The flag flips before release_owner takes this mutex, so a closed
+  // owner is seen here or its pin is seen there: never neither.
+  if (owner_closed(owner)) return nullptr;
   const std::string handle = format_handle(next_handle_++);
   auto pin = std::make_shared<PinnedSession>(handle, base_key,
                                              std::move(layout), base_env);
@@ -110,6 +117,7 @@ PinRegistry::ClaimResult PinRegistry::claim(
     const std::string& handle, const Owner& owner,
     std::shared_ptr<PinnedSession>* out) {
   const std::lock_guard<std::mutex> lock(mu_);
+  if (owner_closed(owner)) return ClaimResult::kOwnerClosed;
   const auto it = pins_.find(handle);
   if (it == pins_.end()) return ClaimResult::kNotFound;
   if (it->second->owner != nullptr && it->second->owner != owner) {

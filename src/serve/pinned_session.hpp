@@ -101,7 +101,9 @@ class PinRegistry {
   using Owner = std::shared_ptr<std::atomic<bool>>;
 
   /// Derives a new pin and registers it owned by \p owner.  The handle is
-  /// generated ("pin-" + 16 hex digits of a per-registry counter).
+  /// generated ("pin-" + 16 hex digits of a per-registry counter).  Returns
+  /// nullptr, registering nothing, when \p owner's closed flag is set: its
+  /// connection is gone and release_owner has already run or is about to.
   std::shared_ptr<PinnedSession> create(
       const std::string& base_key,
       std::shared_ptr<const layout::Layout> layout,
@@ -116,10 +118,11 @@ class PinRegistry {
   [[nodiscard]] std::shared_ptr<PinnedSession> find(
       const std::string& handle) const;
 
-  enum class ClaimResult { kOk, kNotFound, kOwnedElsewhere };
+  enum class ClaimResult { kOk, kNotFound, kOwnedElsewhere, kOwnerClosed };
   /// Claims \p handle for \p owner: succeeds when the pin is unowned or
   /// already owned by \p owner (idempotent re-claim).  \p out receives the
-  /// pin on kOk.
+  /// pin on kOk.  kOwnerClosed when \p owner's closed flag is set, as in
+  /// create.
   ClaimResult claim(const std::string& handle, const Owner& owner,
                     std::shared_ptr<PinnedSession>* out);
 

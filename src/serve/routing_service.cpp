@@ -327,7 +327,7 @@ void RoutingService::submit_load(LoadRequest req, LoadCallback done) {
   // same shard as that session's routes — fair against other sessions,
   // ordered within its own.  All GENs share one shard: synthesis has no
   // session identity yet, and pooling them keeps a generation storm to one
-  // DRR turn per round.
+  // ring turn per round.
   std::string shard = req.synth ? "gen" : req.key;
   job.load = std::move(req);
   job.load_done = std::move(done);
@@ -554,12 +554,17 @@ void RoutingService::run_pin_job(Job& job) {
       std::shared_ptr<PinnedSession> pin = pins_.create(
           job.session->key, std::move(layout), job.session->env,
           job.pin_req.owner);
-      resp.status = RouteStatus::kOk;
-      resp.handle = pin->handle;
-      resp.base_key = pin->base_key;
-      resp.nets_total = pin->layout->nets().size();
-      resp.committed = 0;
-      metrics_.pins_created.fetch_add(1, std::memory_order_relaxed);
+      if (pin == nullptr) {
+        resp.status = RouteStatus::kCancelled;
+        resp.error = "connection closed";
+      } else {
+        resp.status = RouteStatus::kOk;
+        resp.handle = pin->handle;
+        resp.base_key = pin->base_key;
+        resp.nets_total = pin->layout->nets().size();
+        resp.committed = 0;
+        metrics_.pins_created.fetch_add(1, std::memory_order_relaxed);
+      }
     } catch (const std::exception& e) {
       resp.status = RouteStatus::kError;
       resp.error = e.what();
@@ -600,6 +605,10 @@ void RoutingService::run_pin_op(Job& job, PinResponse& resp) {
       case PinRegistry::ClaimResult::kOwnedElsewhere:
         resp.status = RouteStatus::kError;
         resp.error = "pin '" + pin.handle + "' is owned by another connection";
+        break;
+      case PinRegistry::ClaimResult::kOwnerClosed:
+        resp.status = RouteStatus::kCancelled;
+        resp.error = "connection closed";
         break;
     }
     return;

@@ -25,7 +25,7 @@
 
 /// \file routing_service.hpp
 /// The serving facade: a persistent worker pool draining a bounded,
-/// weighted-fair job queue of route requests against cached layout
+/// fair (round-robin) job queue of route requests against cached layout
 /// sessions.
 ///
 /// Admission is callback-driven: submit, submit_load and submit_pin take
@@ -38,7 +38,7 @@
 ///   submit  -> session resolved (miss fails fast, nothing queued)
 ///           -> admission through the bounded fair queue (full = rejected);
 ///              jobs shard by session key (pins by handle, LOADs by content
-///              key, GENs together) and dequeue by deficit round-robin, so
+///              key, GENs together) and dequeue round-robin, so
 ///              one saturating session cannot starve its neighbors
 ///   worker  -> cancellation and deadline checked at dequeue
 ///           -> NetlistRouter::route_all over the session's shared
@@ -323,10 +323,6 @@ class RoutingService {
   [[nodiscard]] pipeline::StageCache& stages() noexcept {
     return stage_cache_;
   }
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return workers_.size();
-  }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   /// The STATS response body: the metrics snapshot plus whatever the

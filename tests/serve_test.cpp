@@ -156,8 +156,9 @@ TEST(FairQueue, SingleKeyPreservesFifoOrder) {
 
 TEST(FairQueue, DeficitRoundRobinBoundsNeighborBurst) {
   // Session "hot" has 5 queued jobs before "idle" submits one.  Under the
-  // old global FIFO the idle job waits behind all five; under DRR it waits
-  // behind exactly one (the ring serves each shard once per round).
+  // old global FIFO the idle job waits behind all five; under round-robin
+  // it waits behind exactly one (the ring serves each shard once per
+  // round).
   serve::FairQueue<int> q(16);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push("hot", 100 + i));
   ASSERT_TRUE(q.try_push("idle", 1));
@@ -165,17 +166,6 @@ TEST(FairQueue, DeficitRoundRobinBoundsNeighborBurst) {
   const std::vector<int> order = drain_order(q);
   EXPECT_EQ(order, (std::vector<int>{100, 1, 101, 102, 103, 104}));
   EXPECT_GT(q.fair_rounds(), 0u);
-}
-
-TEST(FairQueue, WeightsScaleServicePerRound) {
-  // weight("hot") = 3: the hot shard drains three jobs per ring pass, the
-  // idle shard one — proportional service, still per-key FIFO.
-  serve::FairQueue<int> q(16);
-  q.set_weight("hot", 3);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push("hot", 100 + i));
-  for (int i = 0; i < 2; ++i) ASSERT_TRUE(q.try_push("idle", int{i}));
-  EXPECT_EQ(drain_order(q),
-            (std::vector<int>{100, 101, 102, 0, 103, 104, 105, 1}));
 }
 
 TEST(FairQueue, ShardStatsExposeSkew) {
@@ -205,9 +195,9 @@ TEST(FairQueue, ShardStatsExposeSkew) {
 
 TEST(RoutingService, HotSessionCannotStarveIdleNeighbor) {
   // The fairness differential at the service level: one worker, a 50-deep
-  // burst on session A, then a single request on session B.  Weighted-fair
+  // burst on session A, then a single request on session B.  Fair
   // dispatch must answer B near the front (it waits behind at most one A
-  // job per DRR round from the moment it queues); the retired global FIFO
+  // job per ring round from the moment it queues); the retired global FIFO
   // would have answered it dead last.
   const std::string text_a = workload_text(9, 12, 7);
   const std::string text_b = workload_text(9, 12, 8);

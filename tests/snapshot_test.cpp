@@ -435,6 +435,55 @@ TEST(PinRegistry, OwnershipGatesMutations) {
   EXPECT_EQ(service.pins().size(), 0u);
 }
 
+TEST(PinRegistry, DroppedConnectionCannotDeriveOrClaim) {
+  // A dropped connection's flag flips before its pins are released, but a
+  // PIN it queued earlier can still reach a worker afterwards.  Neither a
+  // derive nor a claim may then register the dead connection as an owner:
+  // nothing would ever release that pin again.
+  const std::string text = workload_text(9, 12, 7);
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  serve::RoutingService service(opts);
+  const auto session = service.load(text);
+  const auto dead = make_owner();
+  dead->store(true);
+
+  serve::PinRequest derive;
+  derive.op = serve::PinRequest::Op::kPin;
+  derive.key = session->key;
+  derive.owner = dead;
+  const serve::PinResponse derived = service.pin_op(std::move(derive));
+  EXPECT_EQ(derived.status, serve::RouteStatus::kCancelled);
+  EXPECT_EQ(derived.error, "connection closed");
+  EXPECT_EQ(service.snapshot().pins_active, 0u);
+
+  // An unowned pin (as after a restore or a draining disconnect) stays
+  // claimable by a live connection after a dead one tried to claim it.
+  const auto owner1 = make_owner();
+  serve::PinRequest pin;
+  pin.op = serve::PinRequest::Op::kPin;
+  pin.key = session->key;
+  pin.owner = owner1;
+  const serve::PinResponse created = service.pin_op(std::move(pin));
+  ASSERT_TRUE(created.ok()) << created.error;
+  service.release_pins(owner1, /*preserve=*/true);
+
+  serve::PinRequest dead_claim;
+  dead_claim.op = serve::PinRequest::Op::kPin;
+  dead_claim.key = created.handle;
+  dead_claim.owner = dead;
+  const serve::PinResponse refused = service.pin_op(std::move(dead_claim));
+  EXPECT_EQ(refused.status, serve::RouteStatus::kCancelled);
+  EXPECT_EQ(refused.error, "connection closed");
+
+  serve::PinRequest live_claim;
+  live_claim.op = serve::PinRequest::Op::kPin;
+  live_claim.key = created.handle;
+  live_claim.owner = make_owner();
+  const serve::PinResponse claimed = service.pin_op(std::move(live_claim));
+  EXPECT_TRUE(claimed.ok()) << claimed.error;
+}
+
 // ------------------------------------------------------------------ hello
 
 TEST(Protocol, HelloAdvertisesVerbTable) {
