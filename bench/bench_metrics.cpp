@@ -183,7 +183,7 @@ OverheadReport measure_overhead() {
     req.trace = traced;
     req.received = std::chrono::steady_clock::now();
     const auto t0 = std::chrono::steady_clock::now();
-    const serve::RouteResponse resp = service.route(std::move(req));
+    const serve::Response resp = service.call(std::move(req));
     const auto t1 = std::chrono::steady_clock::now();
     if (!resp.ok()) std::abort();
     return std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -355,7 +355,7 @@ void BM_ServiceRouteTraced(benchmark::State& state) {
     req.session_key = session->key;
     req.trace = traced;
     req.received = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(service.route(std::move(req)));
+    benchmark::DoNotOptimize(service.call(std::move(req)));
   }
   state.SetLabel(traced ? "trace=1" : "trace=0");
 }

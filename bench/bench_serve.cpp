@@ -53,7 +53,7 @@ double requests_per_sec(std::size_t workers, std::size_t clients,
       for (std::size_t q = 0; q < per_client; ++q) {
         serve::RouteRequest req;
         req.session_key = session->key;
-        (void)service.route(std::move(req));
+        (void)service.call(std::move(req));
       }
     });
   }
@@ -247,7 +247,7 @@ void BM_ServiceRoute(benchmark::State& state) {
   for (auto _ : state) {
     serve::RouteRequest req;
     req.session_key = session->key;
-    benchmark::DoNotOptimize(service.route(std::move(req)));
+    benchmark::DoNotOptimize(service.call(std::move(req)));
   }
   state.SetLabel(std::to_string(state.range(0)) + " workers");
 }

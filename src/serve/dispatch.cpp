@@ -6,6 +6,7 @@
 #include <mutex>
 #include <ostream>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "serve/protocol.hpp"
@@ -18,43 +19,6 @@ using Owner = std::shared_ptr<std::atomic<bool>>;
 
 DispatchResult answer(std::string frame) {
   return {DispatchResult::Kind::kInline, std::move(frame)};
-}
-
-DispatchResult queued(bool barrier = false) {
-  DispatchResult r;
-  r.kind = DispatchResult::Kind::kQueued;
-  r.barrier = barrier;
-  return r;
-}
-
-/// Queues a route-family request.  \p format runs on the worker: route
-/// dumps and stage bodies (possibly a multi-MB SVG) are the expensive part
-/// of a response and must stay off the front-end thread.
-DispatchResult submit_route(RoutingService& service, RouteRequest req,
-                            const Owner& owner,
-                            std::chrono::steady_clock::time_point received,
-                            Reply reply,
-                            std::string (*format)(const RouteResponse&)) {
-  req.received = received;
-  req.cancel = owner;
-  service.submit(std::move(req),
-                 [reply = std::move(reply), format](RouteResponse resp) {
-                   reply(format(resp), true);
-                 });
-  return queued();
-}
-
-/// Queues a pin-family request.  The connection's token is the pin owner:
-/// pointer identity gates every later mutation, and the transport's
-/// release_pins call frees the pins when the connection ends.
-void submit_pin(RoutingService& service, PinRequest req, const Owner& owner,
-                Reply reply) {
-  const PinRequest::Op op = req.op;
-  req.owner = owner;
-  service.submit_pin(std::move(req),
-                     [reply = std::move(reply), op](PinResponse resp) {
-                       reply(format_pin_response(resp, op), true);
-                     });
 }
 
 }  // namespace
@@ -70,8 +34,11 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
             format_err(ev.error)};
   }
   const ClassifiedCommand cmd = classify_command(ev.line);
+  Request req;
+  // LOAD, GEN and PIN are ordering barriers (see DispatchResult::barrier).
+  bool barrier = false;
   // Only the parsers throw: every admission outcome, failures included,
-  // comes back through the submit callbacks.
+  // comes back through the submit callback.
   try {
     switch (cmd.kind) {
       case CommandKind::kQuit:
@@ -89,42 +56,33 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
         // LOADs build on a worker with the already-computed key, so the body
         // is hashed exactly once and a cold-session storm cannot stall the
         // front-end thread.
-        LoadRequest req;
+        LoadRequest load;
         if (const auto cached =
-                service.sessions().find_content(ev.body, &req.key)) {
-          return answer(format_load_ok(*cached, true));
+                service.sessions().find_content(ev.body, &load.key)) {
+          return answer(format_ok(load_meta(*cached, true), ""));
         }
-        req.text = std::move(ev.body);
-        req.cancel = owner;
-        service.submit_load(std::move(req),
-                            [reply = std::move(reply)](LoadResponse resp) {
-                              reply(format_load_response(resp), true);
-                            });
-        return queued(/*barrier=*/true);
+        load.text = std::move(ev.body);
+        req = std::move(load);
+        barrier = true;
+        break;
       }
       case CommandKind::kGen: {
         // Synthesis is deterministic but not cheap (the parse caps admit
         // cells=4096 with nets=65536), so it runs on a worker, which then
         // feeds the text through LOAD's content probe and session build.
         const GenCommand gen = parse_gen_command(cmd.args);
-        LoadRequest req;
-        req.synth = [gen] { return generate_workload_text(gen); };
-        req.cancel = owner;
-        service.submit_load(
-            std::move(req),
-            [kind = gen.kind, reply = std::move(reply)](LoadResponse resp) {
-              reply(resp.ok ? format_gen_ok(*resp.session, resp.cache_hit,
-                                            kind)
-                            : format_err(resp.error),
-                    true);
-            });
-        return queued(/*barrier=*/true);
+        LoadRequest load;
+        load.synth = [gen] { return generate_workload_text(gen); };
+        load.gen = to_string(gen.kind);
+        req = std::move(load);
+        barrier = true;
+        break;
       }
       case CommandKind::kRoute:
       case CommandKind::kReroute: {
-        const RouteCommand rc = cmd.kind == CommandKind::kRoute
-                                    ? parse_route_command(cmd.args)
-                                    : parse_reroute_command(cmd.args);
+        RouteRequest rc = cmd.kind == CommandKind::kRoute
+                              ? parse_route_command(cmd.args)
+                              : parse_reroute_command(cmd.args);
         // REROUTE against a pin handle rips up the pin's own committed
         // remainder (owner-gated, serialized on the pin's ticket chain)
         // instead of the shared stateless path.
@@ -135,21 +93,21 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
           preq.key = rc.session_key;
           preq.nets = rc.nets;
           preq.wire_halo = rc.opts.wire_halo;
-          submit_pin(service, std::move(preq), owner, std::move(reply));
-          return queued();
+          req = std::move(preq);
+        } else {
+          req = std::move(rc);
         }
-        return submit_route(service, to_request(rc), owner, received,
-                            std::move(reply), format_route_response);
+        break;
       }
       case CommandKind::kOptimize: {
-        RouteRequest req = to_request(parse_optimize_command(cmd.args));
+        RouteRequest opt = parse_optimize_command(cmd.args);
         // Each completed pass streams as a progress line under this
         // command's reply, ahead of the final frame.
-        req.progress = [reply](const route::OptimizePassStats& stats) {
+        opt.progress = [reply](const route::OptimizePassStats& stats) {
           reply(format_pass_progress(stats), false);
         };
-        return submit_route(service, std::move(req), owner, received,
-                            std::move(reply), format_optimize_response);
+        req = std::move(opt);
+        break;
       }
       case CommandKind::kDetail:
       case CommandKind::kCongest:
@@ -160,29 +118,41 @@ DispatchResult dispatch(RoutingService& service, net::FrameParser::Event& ev,
             : cmd.kind == CommandKind::kCongest ? pipeline::StageKind::kCongest
             : cmd.kind == CommandKind::kVerify  ? pipeline::StageKind::kVerify
                                                 : pipeline::StageKind::kSvg;
-        return submit_route(service,
-                            to_request(parse_stage_command(stage, cmd.args)),
-                            owner, received, std::move(reply),
-                            format_stage_response);
+        req = parse_stage_command(stage, cmd.args);
+        break;
       }
       case CommandKind::kPin:
       case CommandKind::kUnpin:
       case CommandKind::kCommit:
       case CommandKind::kUncommit:
       case CommandKind::kSave:
-        submit_pin(service, parse_pin_command(cmd.kind, cmd.args), owner,
-                   std::move(reply));
-        // PIN is an ordering barrier like LOAD and GEN: a pipelined
-        // `COMMIT <handle>` needs the derived pin registered at admission.
-        return queued(/*barrier=*/cmd.kind == CommandKind::kPin);
+        req = parse_pin_command(cmd.kind, cmd.args);
+        barrier = cmd.kind == CommandKind::kPin;
+        break;
       case CommandKind::kBlank:  // FrameParser never emits blank lines
       case CommandKind::kUnknown:
-        break;
+        return answer(format_err("unknown command '" + cmd.keyword + "'"));
     }
   } catch (const std::exception& e) {
     return answer(format_err(e.what()));
   }
-  return answer(format_err("unknown command '" + cmd.keyword + "'"));
+  // The connection's token cancels its route and LOAD/GEN jobs and owns
+  // its pins: pointer identity gates every later mutation, and the
+  // transport's release_pins call frees the pins when the connection ends.
+  if (auto* route = std::get_if<RouteRequest>(&req)) {
+    route->received = received;
+    route->cancel = owner;
+  } else if (auto* load = std::get_if<LoadRequest>(&req)) {
+    load->cancel = owner;
+  } else {
+    std::get<PinRequest>(req).owner = owner;
+  }
+  // The callback renders on the worker: route dumps and stage bodies
+  // (possibly a multi-MB SVG) must stay off the front-end thread.
+  service.submit(std::move(req), [reply = std::move(reply)](Response resp) {
+    reply(format_response(resp), true);
+  });
+  return {DispatchResult::Kind::kQueued, {}, barrier};
 }
 
 std::size_t serve_connection(RoutingService& service, std::istream& in,

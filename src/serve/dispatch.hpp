@@ -14,8 +14,11 @@
 /// blocking stream loop (serve_connection) and the epoll front-end
 /// (net::EventLoop) — frame their input with net::FrameParser and hand each
 /// event here; they only deliver the frames this function produces.  Cheap
-/// verbs answer inline; everything that parses a layout, synthesizes one, or
-/// routes goes to the worker pool and answers through the reply callback.
+/// verbs (QUIT, STATS, HELLO, TRACE, a resident LOAD) answer inline.
+/// Everything that parses a layout, synthesizes one, routes or touches a
+/// pin becomes one serve::Request, handed to RoutingService::submit from one
+/// call site, and its Response comes back through the reply callback,
+/// rendered by format_response on the worker that finished it.
 
 namespace gcr::serve {
 

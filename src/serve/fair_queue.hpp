@@ -122,10 +122,6 @@ class FairQueue {
     return total_;
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
 
   /// Live (non-empty) shard count.
   [[nodiscard]] std::size_t shards() const {

@@ -100,7 +100,6 @@ class SessionCache {
                                             bool* cache_hit = nullptr);
 
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// LOAD-deduplication counters: a hit is a load() whose content was
   /// already resident (parse + environment build skipped).
   [[nodiscard]] std::uint64_t hits() const;

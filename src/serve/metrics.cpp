@@ -34,16 +34,8 @@ std::vector<std::uint64_t> LatencyWindow::percentiles(
 
 std::string MetricsSnapshot::to_text() const {
   std::ostringstream os;
-  render_counters(os, "", *this);
-  os << "pins_active " << pins_active << '\n'
-     << "stage_cache_hits " << stage_cache_hits << '\n'
-     << "stage_cache_misses " << stage_cache_misses << '\n'
-     << "stage_cache_evictions " << stage_cache_evictions << '\n'
-     << "stage_cache_size " << stage_cache_size << '\n'
-     << "latency_p50_us " << latency_p50_us << '\n'
-     << "latency_p95_us " << latency_p95_us << '\n'
-     << "latency_p99_us " << latency_p99_us << '\n'
-     << "queue_wait_p50_us " << queue_wait_p50_us << '\n';
+  render_counters<ServiceCounters<std::uint64_t>>(os, "", *this);
+  render_counters<SessionGauges<std::uint64_t>>(os, "", *this);
   for (std::size_t i = 0; i < kVerbKinds; ++i) {
     const std::string_view name = to_string(static_cast<VerbKind>(i));
     const VerbLatencySnapshot& v = verbs[i];
@@ -52,13 +44,7 @@ std::string MetricsSnapshot::to_text() const {
        << "verb_" << name << "_p95_us " << v.p95_us << '\n'
        << "verb_" << name << "_p99_us " << v.p99_us << '\n';
   }
-  os << "uptime_s " << uptime_s << '\n'
-     << "protocol_version " << protocol_version << '\n'
-     << "queue_depth " << queue_depth << '\n'
-     << "queue_capacity " << queue_capacity << '\n'
-     << "queue_shards " << queue_shards << '\n'
-     << "queue_fair_rounds " << queue_fair_rounds << '\n'
-     << "queue_oldest_wait_us " << queue_oldest_wait_us << '\n';
+  render_counters<QueueGauges<std::uint64_t>>(os, "", *this);
   // Live shards only, positionally (STATS values must be numeric, so the
   // key stays out): an idle queue renders no shard lines, so the key set
   // above stays stable for dashboards while skew remains observable the
@@ -70,11 +56,7 @@ std::string MetricsSnapshot::to_text() const {
        << "queue_shard" << i << "_served " << q.served << '\n'
        << "queue_shard" << i << "_head_wait_us " << q.head_wait_us << '\n';
   }
-  os << "workers " << workers << '\n'
-     << "cache_hits " << cache_hits << '\n'
-     << "cache_misses " << cache_misses << '\n'
-     << "cache_evictions " << cache_evictions << '\n'
-     << "cache_size " << cache_size << '\n';
+  render_counters<CacheGauges<std::uint64_t>>(os, "", *this);
   return os.str();
 }
 

@@ -158,10 +158,9 @@ GCR_COUNTER_TABLE(ServiceCounters, GCR_SERVICE_COUNTERS)
 struct ServiceMetrics : ServiceCounters<Counter> {
   /// Lock-free log2 histograms — recorded on every request with zero
   /// mutexes (Histogram::record is three relaxed atomic adds).
-  Histogram latency;     ///< enqueue -> response, us; route family + pins
-  Histogram queue_wait;  ///< enqueue -> dequeue, microseconds
+  Histogram queue_wait;  ///< submit -> dequeue, us; every queued job
   /// Per-verb latency shards: a microsecond STATS render and a multi-second
-  /// OPTIMIZE no longer share one distribution.
+  /// OPTIMIZE never share one distribution.
   std::array<Histogram, kVerbKinds> verb_latency{};
 };
 
@@ -174,38 +173,36 @@ struct VerbLatencySnapshot {
   std::uint64_t p99_us = 0;
 };
 
+/// The snapshot's gauges, read from the queue, caches and histograms at
+/// snapshot time, in the three STATS runs around the per-verb and per-shard
+/// lines.  Fair (round-robin) dispatch shows as the live shard count, ring
+/// rotations and the age of the oldest queued item anywhere (the
+/// starvation gauge).
+#define GCR_SESSION_GAUGES(X)                                              \
+  X(pins_active) X(stage_cache_hits) X(stage_cache_misses)                 \
+  X(stage_cache_evictions) X(stage_cache_size) X(queue_wait_p50_us)
+#define GCR_QUEUE_GAUGES(X)                                                \
+  X(uptime_s) X(protocol_version) X(queue_depth) X(queue_capacity)         \
+  X(queue_shards) X(queue_fair_rounds) X(queue_oldest_wait_us)
+#define GCR_CACHE_GAUGES(X)                                                \
+  X(workers) X(cache_hits) X(cache_misses) X(cache_evictions) X(cache_size)
+
+GCR_COUNTER_TABLE(SessionGauges, GCR_SESSION_GAUGES)
+GCR_COUNTER_TABLE(QueueGauges, GCR_QUEUE_GAUGES)
+GCR_COUNTER_TABLE(CacheGauges, GCR_CACHE_GAUGES)
+
 /// One point-in-time view, cheap to format: the counters plus the gauges
 /// and percentiles read from the queue, caches and histograms.
-struct MetricsSnapshot : ServiceCounters<std::uint64_t> {
-  std::size_t pins_active = 0;
-  std::uint64_t stage_cache_hits = 0;
-  std::uint64_t stage_cache_misses = 0;
-  std::uint64_t stage_cache_evictions = 0;
-  std::size_t stage_cache_size = 0;
-  std::uint64_t latency_p50_us = 0;
-  std::uint64_t latency_p95_us = 0;
-  std::uint64_t latency_p99_us = 0;
-  std::uint64_t queue_wait_p50_us = 0;
+struct MetricsSnapshot : ServiceCounters<std::uint64_t>,
+                         SessionGauges<std::uint64_t>,
+                         QueueGauges<std::uint64_t>,
+                         CacheGauges<std::uint64_t> {
   /// One digest per VerbKind, indexed by static_cast<size_t>(kind); all
   /// kinds are rendered (count 0 shows as zeros) so dashboards see a stable
   /// key set.
   std::array<VerbLatencySnapshot, kVerbKinds> verbs{};
-  std::uint64_t uptime_s = 0;
-  std::uint32_t protocol_version = 0;
-  std::size_t queue_depth = 0;
-  std::size_t queue_capacity = 0;
-  /// Fair (round-robin) dispatch: live shard count, ring rotations, the age
-  /// of the oldest queued item anywhere (the starvation gauge), and one
-  /// entry per live shard in service order.
-  std::size_t queue_shards = 0;
-  std::uint64_t queue_fair_rounds = 0;
-  std::uint64_t queue_oldest_wait_us = 0;
+  /// One entry per live queue shard, in service order.
   std::vector<QueueShardStats> queue_shard_stats;
-  std::size_t workers = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::size_t cache_size = 0;
 
   /// `key value` lines, one metric per line — the STATS response body.
   [[nodiscard]] std::string to_text() const;

@@ -113,9 +113,8 @@ std::shared_ptr<PinnedSession> PinRegistry::find(
   return it == pins_.end() ? nullptr : it->second;
 }
 
-PinRegistry::ClaimResult PinRegistry::claim(
-    const std::string& handle, const Owner& owner,
-    std::shared_ptr<PinnedSession>* out) {
+PinRegistry::ClaimResult PinRegistry::claim(const std::string& handle,
+                                             const Owner& owner) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (owner_closed(owner)) return ClaimResult::kOwnerClosed;
   const auto it = pins_.find(handle);
@@ -124,7 +123,6 @@ PinRegistry::ClaimResult PinRegistry::claim(
     return ClaimResult::kOwnedElsewhere;
   }
   it->second->owner = owner;
-  if (out != nullptr) *out = it->second;
   return ClaimResult::kOk;
 }
 

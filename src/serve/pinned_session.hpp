@@ -120,11 +120,9 @@ class PinRegistry {
 
   enum class ClaimResult { kOk, kNotFound, kOwnedElsewhere, kOwnerClosed };
   /// Claims \p handle for \p owner: succeeds when the pin is unowned or
-  /// already owned by \p owner (idempotent re-claim).  \p out receives the
-  /// pin on kOk.  kOwnerClosed when \p owner's closed flag is set, as in
-  /// create.
-  ClaimResult claim(const std::string& handle, const Owner& owner,
-                    std::shared_ptr<PinnedSession>* out);
+  /// already owned by \p owner (idempotent re-claim).  kOwnerClosed when
+  /// \p owner's closed flag is set, as in create.
+  ClaimResult claim(const std::string& handle, const Owner& owner);
 
   /// True when the pin is still registered under its handle and owned by
   /// \p owner — the worker-side re-check after queue wait.

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "io/route_dump.hpp"
 #include "io/text_format.hpp"
 #include "workload/floorplan.hpp"
 #include "workload/netgen.hpp"
@@ -226,47 +225,6 @@ const VerbSpec& verb_for(CommandKind kind) {
   throw std::logic_error("verb_table: no row for command kind");
 }
 
-// ------------------------------------------------------- response metas
-
-/// The single OK-meta formatter: every response meta is a space-separated
-/// `key=value` list built through here, so clients parse one shape for
-/// every verb (QUIT's bare `bye` and STATS' body are the documented
-/// exceptions).
-class MetaBuilder {
- public:
-  template <typename T>
-  MetaBuilder& add(const char* key, const T& value) {
-    sep();
-    os_ << key << '=' << value;
-    return *this;
-  }
-
-  /// Splices an already key=value-formatted run (a stage's own meta).
-  MetaBuilder& raw(const std::string& text) {
-    if (text.empty()) return *this;
-    sep();
-    os_ << text;
-    return *this;
-  }
-
-  [[nodiscard]] std::string str() { return std::move(os_).str(); }
-
- private:
-  void sep() {
-    if (!first_) os_ << ' ';
-    first_ = false;
-  }
-
-  std::ostringstream os_;
-  bool first_ = true;
-};
-
-std::string format_status_err(RouteStatus status, const std::string& error) {
-  return format_err(error.empty()
-                        ? to_string(status)
-                        : std::string(to_string(status)) + ": " + error);
-}
-
 // Table-row factories: KnobSpec/VerbSpec carry defaulted fields, and the
 // build treats partially-designated aggregate init as an error.
 KnobSpec knob(const char* key, KnobType type = KnobType::kCount,
@@ -399,67 +357,59 @@ ClassifiedCommand classify_command(const std::string& line) {
 
 namespace {
 
-/// ROUTE and REROUTE share knob -> field application; the rows differ only
-/// in nets= being required and mode= being rejected.
-RouteCommand build_route_command(const VerbSpec& verb,
-                                 const std::string& args) {
-  const ParsedArgs pa = parse_args(verb, args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
-  if (const KnobValue* v = pa.find("mode")) cmd.opts.mode = v->mode;
+/// The knob -> field application every route-family verb shares.  A knob
+/// its verb row does not list is never found, so the rows alone decide
+/// what each verb accepts (REROUTE: nets= required, mode= rejected).
+RouteRequest route_request(const ParsedArgs& pa) {
+  RouteRequest req;
+  req.session_key = pa.positionals[0];
+  if (const KnobValue* v = pa.find("mode")) req.opts.mode = v->mode;
   if (const KnobValue* v = pa.find("threads")) {
-    cmd.opts.threads = static_cast<unsigned>(v->num);
+    req.opts.threads = static_cast<unsigned>(v->num);
   }
   if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
+    req.deadline = std::chrono::milliseconds(v->num);
   }
   if (const KnobValue* v = pa.find("sorted")) {
-    cmd.opts.sorted_dispatch = v->flag;
+    req.opts.sorted_dispatch = v->flag;
   }
   if (const KnobValue* v = pa.find("segments")) {
-    cmd.opts.steiner.connect_to_segments = v->flag;
+    req.opts.steiner.connect_to_segments = v->flag;
   }
-  if (const KnobValue* v = pa.find("nets")) cmd.nets = v->list;
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  return cmd;
+  if (const KnobValue* v = pa.find("nets")) req.nets = v->list;
+  if (const KnobValue* v = pa.find("trace")) req.trace = v->flag;
+  return req;
 }
 
 }  // namespace
 
-RouteCommand parse_route_command(const std::string& args) {
-  return build_route_command(verb_for(CommandKind::kRoute), args);
+RouteRequest parse_route_command(const std::string& args) {
+  return route_request(parse_args(verb_for(CommandKind::kRoute), args));
 }
 
-RouteCommand parse_reroute_command(const std::string& args) {
-  RouteCommand cmd = build_route_command(verb_for(CommandKind::kReroute), args);
-  cmd.opts.mode = route::NetlistMode::kSequential;
-  cmd.reroute = true;
-  return cmd;
+RouteRequest parse_reroute_command(const std::string& args) {
+  RouteRequest req =
+      route_request(parse_args(verb_for(CommandKind::kReroute), args));
+  req.opts.mode = route::NetlistMode::kSequential;
+  req.reroute = true;
+  return req;
 }
 
-RouteCommand parse_optimize_command(const std::string& args) {
+RouteRequest parse_optimize_command(const std::string& args) {
   const ParsedArgs pa = parse_args(verb_for(CommandKind::kOptimize), args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
-  cmd.optimize = true;
-  cmd.opts.mode = route::NetlistMode::kSequential;
+  RouteRequest req = route_request(pa);
+  req.optimize = true;
+  req.opts.mode = route::NetlistMode::kSequential;
   if (const KnobValue* v = pa.find("passes")) {
-    cmd.passes = static_cast<std::size_t>(v->num);
+    req.passes = static_cast<std::size_t>(v->num);
   }
   if (const KnobValue* v = pa.find("budget_ms")) {
-    cmd.budget = std::chrono::milliseconds(v->num);
+    req.budget = std::chrono::milliseconds(v->num);
   }
-  if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
-  }
-  if (const KnobValue* v = pa.find("segments")) {
-    cmd.opts.steiner.connect_to_segments = v->flag;
-  }
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  return cmd;
+  return req;
 }
 
-RouteCommand parse_stage_command(pipeline::StageKind kind,
+RouteRequest parse_stage_command(pipeline::StageKind kind,
                                  const std::string& args) {
   const CommandKind ck = kind == pipeline::StageKind::kDetail
                              ? CommandKind::kDetail
@@ -469,13 +419,9 @@ RouteCommand parse_stage_command(pipeline::StageKind kind,
                              ? CommandKind::kVerify
                              : CommandKind::kSvg;
   const ParsedArgs pa = parse_args(verb_for(ck), args);
-  RouteCommand cmd;
-  cmd.session_key = pa.positionals[0];
+  RouteRequest req = route_request(pa);
   pipeline::StageOptions sopts;
   sopts.kind = kind;
-  if (const KnobValue* v = pa.find("deadline_ms")) {
-    cmd.deadline = std::chrono::milliseconds(v->num);
-  }
   if (const KnobValue* v = pa.find("window")) {
     sopts.channel_window = static_cast<geom::Coord>(v->num);
   }
@@ -500,9 +446,8 @@ RouteCommand parse_stage_command(pipeline::StageKind kind,
   if (const KnobValue* v = pa.find("scale")) sopts.scale = v->real;
   if (const KnobValue* v = pa.find("pins")) sopts.draw_pins = v->flag;
   if (const KnobValue* v = pa.find("names")) sopts.draw_cell_names = v->flag;
-  if (const KnobValue* v = pa.find("trace")) cmd.trace = v->flag;
-  cmd.stage = sopts;
-  return cmd;
+  req.stage = sopts;
+  return req;
 }
 
 const char* to_string(GenCommand::Kind k) noexcept {
@@ -609,23 +554,6 @@ unsigned long long parse_load_count(const std::string& line) {
   return parse_count(words[1], "LOAD byte count");
 }
 
-RouteRequest to_request(const RouteCommand& cmd) {
-  RouteRequest req;
-  req.session_key = cmd.session_key;
-  req.opts = cmd.opts;
-  req.net_names = cmd.nets;
-  req.reroute = cmd.reroute;
-  req.optimize = cmd.optimize;
-  req.optimize_passes = cmd.passes;
-  req.optimize_budget = cmd.budget;
-  req.stage = cmd.stage;
-  req.trace = cmd.trace;
-  if (cmd.deadline) {
-    req.deadline = std::chrono::steady_clock::now() + *cmd.deadline;
-  }
-  return req;
-}
-
 std::string format_ok(const std::string& meta, const std::string& body) {
   std::string out = "OK " + std::to_string(body.size());
   if (!meta.empty()) {
@@ -681,19 +609,34 @@ std::string format_hello(std::uint64_t uptime_s) {
                    body);
 }
 
-std::string format_load_ok(const LayoutSession& session, bool cached) {
-  return format_ok(MetaBuilder()
-                       .add("session", session.key)
-                       .add("cells", session.layout.cells().size())
-                       .add("nets", session.layout.nets().size())
-                       .add("cached", cached ? 1 : 0)
-                       .str(),
-                   "");
+std::string load_meta(const LayoutSession& session, bool cached) {
+  return MetaBuilder()
+      .add("session", session.key)
+      .add("cells", session.layout.cells().size())
+      .add("nets", session.layout.nets().size())
+      .add("cached", cached ? 1 : 0)
+      .str();
 }
 
-std::string format_load_response(const LoadResponse& resp) {
-  if (!resp.ok) return format_err(resp.error);
-  return format_load_ok(*resp.session, resp.cache_hit);
+std::string meta_value(const std::string& meta, std::string_view key) {
+  const std::string needle = " " + std::string(key) + "=";
+  const std::size_t at = (" " + meta).find(needle);
+  if (at == std::string::npos) return {};
+  const std::size_t start = at + needle.size() - 1;  // index into meta
+  return meta.substr(start, meta.find(' ', start) - start);
+}
+
+std::string format_response(const Response& resp) {
+  if (!resp.ok()) return format_err(resp.error);
+  MetaBuilder meta;
+  meta.raw(resp.meta);
+  if (resp.timed) {
+    meta.add("queue_us", resp.trace.dequeue_us)
+        .add("total_us", resp.trace.total_us);
+  }
+  std::string line = meta.str();
+  if (resp.traced) line += resp.trace.render_meta();
+  return format_ok(line, resp.body);
 }
 
 std::string exec_stats(RoutingService& service) {
@@ -743,115 +686,11 @@ std::string exec_trace(RoutingService& service, std::size_t n) {
                    body.str());
 }
 
-std::string format_route_response(const RouteResponse& resp) {
-  if (!resp.ok()) return format_status_err(resp.status, resp.error);
-  const std::string body =
-      resp.nets.empty()
-          ? io::write_routes_string(resp.session->layout, resp.result)
-          : io::write_routes_string(resp.session->layout, resp.result,
-                                    resp.nets);
-  std::string meta = MetaBuilder()
-                         .add("routed", resp.result.routed)
-                         .add("failed", resp.result.failed)
-                         .add("wirelength", resp.result.total_wirelength)
-                         .add("queue_us", resp.queue_wait.count())
-                         .add("total_us", resp.latency.count())
-                         .str();
-  if (resp.traced) meta += resp.trace.render_meta();
-  return format_ok(meta, body);
-}
-
 std::string format_pass_progress(const route::OptimizePassStats& stats) {
   std::ostringstream os;
   os << "PASS " << stats.pass << " wirelength=" << stats.wirelength
      << " overflow=" << stats.overflow << '\n';
   return os.str();
-}
-
-std::string format_optimize_response(const RouteResponse& resp) {
-  if (!resp.ok()) return format_status_err(resp.status, resp.error);
-  const std::string body =
-      io::write_routes_string(resp.session->layout, resp.result);
-  std::string meta =
-      MetaBuilder()
-          .add("passes", resp.passes.size())
-          .add("routed", resp.result.routed)
-          .add("failed", resp.result.failed)
-          .add("wirelength", resp.result.total_wirelength)
-          .add("overflow", resp.passes.empty() ? 0 : resp.passes.back().overflow)
-          .add("queue_us", resp.queue_wait.count())
-          .add("total_us", resp.latency.count())
-          .str();
-  if (resp.traced) meta += resp.trace.render_meta();
-  return format_ok(meta, body);
-}
-
-std::string format_stage_response(const RouteResponse& resp) {
-  if (!resp.ok()) return format_status_err(resp.status, resp.error);
-  std::string meta = MetaBuilder()
-                         .add("stage", pipeline::to_string(resp.stage->kind))
-                         .add("cached", resp.stage_cached ? 1 : 0)
-                         .raw(resp.stage->meta)
-                         .add("queue_us", resp.queue_wait.count())
-                         .add("total_us", resp.latency.count())
-                         .str();
-  if (resp.traced) meta += resp.trace.render_meta();
-  return format_ok(meta, resp.stage->body);
-}
-
-std::string format_pin_response(const PinResponse& resp, PinRequest::Op op) {
-  if (!resp.ok()) return format_status_err(resp.status, resp.error);
-  MetaBuilder meta;
-  meta.add("pin", resp.handle);
-  switch (op) {
-    case PinRequest::Op::kPin:
-      meta.add("session", resp.base_key)
-          .add("nets", resp.nets_total)
-          .add("committed", resp.committed);
-      break;
-    case PinRequest::Op::kUnpin:
-      meta.add("released", 1);
-      break;
-    case PinRequest::Op::kCommit:
-      meta.add("committed", resp.committed)
-          .add("routed", resp.routed)
-          .add("failed", resp.failed)
-          .add("wirelength", resp.wirelength)
-          .add("queue_us", resp.queue_wait.count())
-          .add("total_us", resp.latency.count());
-      break;
-    case PinRequest::Op::kReroute:
-      meta.add("routed", resp.routed)
-          .add("failed", resp.failed)
-          .add("wirelength", resp.wirelength)
-          .add("queue_us", resp.queue_wait.count())
-          .add("total_us", resp.latency.count());
-      break;
-    case PinRequest::Op::kUncommit:
-      meta.add("removed", resp.removed)
-          .add("committed", resp.committed)
-          .add("queue_us", resp.queue_wait.count())
-          .add("total_us", resp.latency.count());
-      break;
-    case PinRequest::Op::kSave:
-      meta.add("bytes", resp.save_bytes)
-          .add("queue_us", resp.queue_wait.count())
-          .add("total_us", resp.latency.count());
-      break;
-  }
-  return format_ok(meta.str(), resp.body);
-}
-
-std::string format_gen_ok(const LayoutSession& session, bool cached,
-                          GenCommand::Kind kind) {
-  return format_ok(MetaBuilder()
-                       .add("session", session.key)
-                       .add("cells", session.layout.cells().size())
-                       .add("nets", session.layout.nets().size())
-                       .add("cached", cached ? 1 : 0)
-                       .add("gen", to_string(kind))
-                       .str(),
-                   "");
 }
 
 }  // namespace gcr::serve

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/routing_service.hpp"
@@ -106,8 +106,8 @@
 /// ```
 ///
 /// Every OK meta is a single space-separated `key=value` list rendered by
-/// one formatter (MetaBuilder in protocol.cpp) — clients parse one shape
-/// for every verb.  The exceptions are fixed by contract: `QUIT` answers
+/// one formatter (MetaBuilder below) — clients parse one shape for every
+/// verb.  The exceptions are fixed by contract: `QUIT` answers
 /// the bare literal `OK 0 bye`, `STATS` bodies stay `key value` metric
 /// lines, and `PASS` progress lines were already key=value.
 ///
@@ -292,50 +292,29 @@ struct ClassifiedCommand {
 /// serve::dispatch.
 [[nodiscard]] ClassifiedCommand classify_command(const std::string& line);
 
-/// A parsed ROUTE or REROUTE command.
-struct RouteCommand {
-  std::string session_key;
-  route::NetlistOptions opts;
-  std::optional<std::chrono::milliseconds> deadline;
-  /// `nets=` list (net names, list order preserved); empty = all nets.
-  std::vector<std::string> nets;
-  /// REROUTE: `nets` is the rip-up set, not a subset restriction.
-  bool reroute = false;
-  /// OPTIMIZE: run the iterated rip-up engine (passes/budget below apply).
-  bool optimize = false;
-  /// OPTIMIZE passes= (0 = engine default).
-  std::size_t passes = 0;
-  /// OPTIMIZE budget_ms= (zero = unbounded).
-  std::chrono::milliseconds budget{0};
-  /// Stage verbs (DETAIL/CONGEST/VERIFY/SVG): the selected stage + knobs.
-  std::optional<pipeline::StageOptions> stage;
-  /// `trace=1`: echo the span breakdown in the response meta.
-  bool trace = false;
-};
-
 /// Parses the ROUTE argument vector (everything after the keyword) through
 /// the verb table.  Throws std::runtime_error with token context on
 /// unknown or malformed options.
-[[nodiscard]] RouteCommand parse_route_command(const std::string& args);
+[[nodiscard]] RouteRequest parse_route_command(const std::string& args);
 
 /// Parses a REROUTE argument vector: the ROUTE grammar, except `nets=` is
 /// required (an empty rip-up set would silently be a plain route) and
 /// `mode=` is rejected — rip-up-and-reroute is sequential by definition.
 /// Throws std::runtime_error like parse_route_command.
-[[nodiscard]] RouteCommand parse_reroute_command(const std::string& args);
+[[nodiscard]] RouteRequest parse_reroute_command(const std::string& args);
 
 /// Parses an OPTIMIZE argument vector: `passes=<n>` (1..1024),
 /// `budget_ms=<n>`, plus ROUTE's `deadline_ms=`/`segments=`.  Everything
 /// else — mode=, nets=, threads=, sorted= — is rejected: the engine is
 /// sequential whole-netlist by definition.  Throws std::runtime_error like
 /// parse_route_command.
-[[nodiscard]] RouteCommand parse_optimize_command(const std::string& args);
+[[nodiscard]] RouteRequest parse_optimize_command(const std::string& args);
 
 /// Parses a stage-verb argument vector (everything after DETAIL / CONGEST /
 /// VERIFY / SVG): `<session> [key=value]…` with the stage's knobs plus
 /// `deadline_ms=`.  \p kind selects the verb row.  Throws
 /// std::runtime_error with token context like parse_route_command.
-[[nodiscard]] RouteCommand parse_stage_command(pipeline::StageKind kind,
+[[nodiscard]] RouteRequest parse_stage_command(pipeline::StageKind kind,
                                                const std::string& args);
 
 /// A parsed GEN command: which generator and its knobs.  Defaults mirror
@@ -378,9 +357,10 @@ struct GenCommand {
 /// transport's LOAD bodies with it.
 [[nodiscard]] unsigned long long parse_load_count(const std::string& line);
 
-/// Lowers a parsed command into a service request (deadline made absolute,
-/// net names handed over for admission-time resolution).
-[[nodiscard]] RouteRequest to_request(const RouteCommand& cmd);
+/// The benchmark harness's names for a parsed route-family command: the
+/// parsers already return the service request.
+using RouteCommand = RouteRequest;
+[[nodiscard]] inline RouteRequest to_request(RouteCommand cmd) { return cmd; }
 
 /// Renders one `OK` frame: status line (`OK <body.size()> <meta>`) + body.
 [[nodiscard]] std::string format_ok(const std::string& meta,
@@ -397,14 +377,54 @@ struct GenCommand {
 /// which the caller reads off the service.
 [[nodiscard]] std::string format_hello(std::uint64_t uptime_s);
 
-/// Renders the LOAD OK frame for an already-resolved session (the inline
-/// cache-hit fast path of serve::dispatch).
-[[nodiscard]] std::string format_load_ok(const LayoutSession& session,
-                                         bool cached);
+/// The one OK-meta formatter: every reply meta is a space-separated
+/// `key=value` list built through here, so clients parse one shape for
+/// every verb (QUIT's bare `bye` and STATS' body are the documented
+/// exceptions).
+class MetaBuilder {
+ public:
+  template <typename T>
+  MetaBuilder& add(const char* key, const T& value) {
+    sep();
+    os_ << key << '=' << value;
+    return *this;
+  }
 
-/// Renders a completed offloaded LOAD: format_load_ok on success, the ERR
-/// frame otherwise.  Pure — safe on a worker thread.
-[[nodiscard]] std::string format_load_response(const LoadResponse& resp);
+  /// Splices an already key=value-formatted run (a stage's own meta).
+  MetaBuilder& raw(const std::string& text) {
+    if (text.empty()) return *this;
+    sep();
+    os_ << text;
+    return *this;
+  }
+
+  [[nodiscard]] std::string str() { return std::move(os_).str(); }
+
+ private:
+  void sep() {
+    if (!first_) os_ << ' ';
+    first_ = false;
+  }
+
+  std::ostringstream os_;
+  bool first_ = true;
+};
+
+/// LOAD's reply meta for a resolved session — shared by the inline
+/// resident-LOAD fast path of serve::dispatch and the worker's LOAD/GEN.
+[[nodiscard]] std::string load_meta(const LayoutSession& session,
+                                    bool cached);
+
+/// The value of the first `key=value` token of \p meta, or "" when absent.
+[[nodiscard]] std::string meta_value(const std::string& meta,
+                                     std::string_view key);
+
+/// The one renderer of a queued command's reply, whatever its verb: the
+/// ERR frame for a failed status; otherwise the OK frame of the meta the
+/// job's run function filled — plus `queue_us=`/`total_us=` when the reply
+/// is timed and the span breakdown when traced — and its body.  Pure —
+/// safe on a worker thread.
+[[nodiscard]] std::string format_response(const Response& resp);
 
 /// Renders the STATS response frame (answered inline by serve::dispatch).
 /// Times its own render and records the cost into the service's `stats`
@@ -422,36 +442,10 @@ struct GenCommand {
 /// each (see the file comment), with `count=` and `threshold_ms=` meta.
 [[nodiscard]] std::string exec_trace(RoutingService& service, std::size_t n);
 
-/// Renders a completed ROUTE response: OK frame with the route-dump body
-/// (subset-restricted when the request named nets), or the ERR frame for a
-/// failed status.  Pure — safe to call from a worker thread.
-[[nodiscard]] std::string format_route_response(const RouteResponse& resp);
-
 /// Renders one OPTIMIZE progress line (`PASS <i> wirelength=<w>
 /// overflow=<o>\n`, no body).  Pure — safe on a worker thread.
 [[nodiscard]] std::string format_pass_progress(
     const route::OptimizePassStats& stats);
-
-/// Renders a completed OPTIMIZE response: the final OK frame with the
-/// full-netlist route-dump body and convergence meta (`passes`, `overflow`
-/// on top of ROUTE's meta), or the ERR frame.  Pure — safe on a worker
-/// thread.
-[[nodiscard]] std::string format_optimize_response(const RouteResponse& resp);
-
-/// Renders a completed stage response: `OK <nbytes> stage=<kind>
-/// cached=<0|1> <stage meta> queue_us=<q> total_us=<t>` + the stage body,
-/// or the ERR frame.  Pure — safe on a worker thread.
-[[nodiscard]] std::string format_stage_response(const RouteResponse& resp);
-
-/// Renders a completed pin-family response (meta per the file comment), or
-/// the ERR frame.  \p op selects the meta shape.  Pure — safe on a worker
-/// thread.
-[[nodiscard]] std::string format_pin_response(const PinResponse& resp,
-                                              PinRequest::Op op);
-
-/// Renders the GEN OK frame: LOAD's meta plus a trailing `gen=<kind>`.
-[[nodiscard]] std::string format_gen_ok(const LayoutSession& session,
-                                        bool cached, GenCommand::Kind kind);
 
 /// Serves one connection over a blocking stream (the daemon's stdin/stdout
 /// and `--fd` transports): frames whatever bytes \p in holds with

@@ -11,7 +11,9 @@
 #include <future>
 #include <iostream>
 #include <iterator>
+#include <map>
 #include <utility>
+#include <variant>
 
 #include "core/steiner.hpp"
 #include "io/route_dump.hpp"
@@ -72,15 +74,43 @@ std::string write_synced(const std::filesystem::path& path,
   return sync_path(path, O_RDONLY);
 }
 
-/// Closed-loop wait: hands \p submit a completion that fulfils a promise,
-/// then blocks until it fires.  The promise is shared with the callback,
-/// which may outlive this frame on the worker that ran it.
-template <typename Response, typename Submit>
-Response wait_for(Submit submit) {
-  auto p = std::make_shared<std::promise<Response>>();
-  std::future<Response> fut = p->get_future();
-  submit([p](Response resp) { p->set_value(std::move(resp)); });
-  return fut.get();
+/// Resolves \p names against a session's net-name index into net
+/// indices, in first-occurrence order with duplicates collapsed.  Returns
+/// the failure reason for an unknown name, empty on success.
+std::string resolve_nets(const std::map<std::string, std::size_t>& index,
+                         std::size_t net_count,
+                         const std::vector<std::string>& names,
+                         std::vector<std::size_t>& ids) {
+  ids.clear();
+  ids.reserve(names.size());
+  std::vector<bool> taken(net_count, false);
+  for (const std::string& name : names) {
+    const auto it = index.find(name);
+    if (it == index.end()) return "unknown net '" + name + "'";
+    if (taken[it->second]) continue;  // duplicate name: once
+    taken[it->second] = true;
+    ids.push_back(it->second);
+  }
+  return {};
+}
+
+/// The PIN reply meta, shared by derive and claim.
+std::string pin_meta(const PinnedSession& pin) {
+  return MetaBuilder()
+      .add("pin", pin.handle)
+      .add("session", pin.base_key)
+      .add("nets", pin.layout->nets().size())
+      .add("committed", pin.routes.size())
+      .str();
+}
+
+/// Answers \p done inline with a failure; returns false (nothing queued).
+bool answer_now(const Callback& done, RouteStatus status,
+                const std::string& reason = {}) {
+  Response resp;
+  resp.fail(status, reason);
+  done(std::move(resp));
+  return false;
 }
 
 }  // namespace
@@ -95,6 +125,12 @@ const char* to_string(RouteStatus s) noexcept {
     case RouteStatus::kError: return "error";
   }
   return "unknown";
+}
+
+void Response::fail(RouteStatus s, const std::string& reason) {
+  status = s;
+  error = to_string(s);
+  if (!reason.empty()) error += ": " + reason;
 }
 
 RoutingService::RoutingService(const Options& opts)
@@ -137,102 +173,141 @@ std::shared_ptr<const LayoutSession> RoutingService::load(
   return cache_.load(text, cache_hit);
 }
 
-void RoutingService::submit(RouteRequest req, RouteCallback done) {
+std::uint64_t RoutingService::Job::elapsed_us() const {
+  return micros_between(submitted, std::chrono::steady_clock::now());
+}
+
+void RoutingService::submit(Request req, Callback done) {
+  Job job;
+  job.submitted = std::chrono::steady_clock::now();
+  job.done = std::move(done);
+  if (std::visit([&](auto& r) { return prepare(job, std::move(r)); }, req)) {
+    admit(job);
+  }
+}
+
+Response RoutingService::call(Request req) {
+  // The promise is shared with the callback, which may outlive this frame
+  // on the worker that ran it.
+  auto p = std::make_shared<std::promise<Response>>();
+  std::future<Response> fut = p->get_future();
+  submit(std::move(req),
+         [p](Response resp) { p->set_value(std::move(resp)); });
+  return fut.get();
+}
+
+PinResponse RoutingService::pin_op(PinRequest req) {
+  PinResponse resp;
+  static_cast<Response&>(resp) = call(std::move(req));
+  resp.handle = meta_value(resp.meta, "pin");
+  resp.queue_wait = std::chrono::microseconds(resp.trace.dequeue_us);
+  resp.latency = std::chrono::microseconds(resp.trace.total_us);
+  return resp;
+}
+
+bool RoutingService::prepare(Job& job, RouteRequest&& req) {
   metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
-
-  const auto fail_now = [&](RouteStatus status, std::string error = {}) {
-    RouteResponse resp;
-    resp.status = status;
-    resp.error = std::move(error);
-    done(std::move(resp));
-  };
-
   // Resolve the session at admission: an unknown handle must fail fast, not
   // burn a queue slot and a worker wake-up.
   std::shared_ptr<const LayoutSession> session = cache_.find(req.session_key);
   if (session == nullptr) {
     metrics_.requests_not_found.fetch_add(1, std::memory_order_relaxed);
-    return fail_now(RouteStatus::kSessionNotFound);
+    return answer_now(job.done, RouteStatus::kSessionNotFound);
   }
 
   // Resolve a net-name list against the session while we still can answer
   // with a precise diagnostic; by worker time the client context is gone.
   // ROUTE lists become a subset restriction, REROUTE lists the rip-up set.
-  if (!req.net_names.empty()) {
-    std::vector<std::size_t> indices;
-    indices.reserve(req.net_names.size());
-    std::vector<bool> taken(session->layout.nets().size(), false);
-    for (const std::string& name : req.net_names) {
-      const auto it = session->net_index.find(name);
-      if (it == session->net_index.end()) {
-        metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
-        return fail_now(RouteStatus::kError, "unknown net '" + name + "'");
-      }
-      if (taken[it->second]) continue;  // duplicate name: route once
-      taken[it->second] = true;
-      indices.push_back(it->second);
+  if (!req.nets.empty()) {
+    const std::string error = resolve_nets(
+        session->net_index, session->layout.nets().size(), req.nets,
+        req.reroute ? req.opts.reroute : req.opts.subset);
+    if (!error.empty()) {
+      metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
+      return answer_now(job.done, RouteStatus::kError, error);
     }
-    if (req.reroute) {
-      req.opts.reroute = std::move(indices);
-      req.opts.subset.clear();
-    } else {
-      req.opts.subset = std::move(indices);
-    }
+    if (req.reroute) req.opts.subset.clear();
   }
 
-  Job job;
   job.verb = classify_verb(req);
-  if (req.received != std::chrono::steady_clock::time_point{} &&
-      req.received <= now) {
-    job.trace.parse_us = micros_between(req.received, now);
-  }
-  job.req = std::move(req);
-  job.session = std::move(session);
-  job.done = std::move(done);
   // Shard by session: fair dispatch is per layout, so one session's burst
   // queues behind itself instead of in front of everyone else.
-  admit(job, now, job.req.session_key);
+  job.shard = req.session_key;
+  if (req.deadline) job.deadline = job.submitted + *req.deadline;
+  job.cancel = req.cancel;
+  if (req.received != std::chrono::steady_clock::time_point{} &&
+      req.received <= job.submitted) {
+    job.trace.parse_us = micros_between(req.received, job.submitted);
+  }
+  job.reject = [this](RouteStatus status) {
+    (status == RouteStatus::kRejected    ? metrics_.requests_rejected
+     : status == RouteStatus::kCancelled ? metrics_.requests_cancelled
+                                         : metrics_.requests_expired)
+        .fetch_add(1, std::memory_order_relaxed);
+  };
+  job.run = [this, req = std::move(req), session = std::move(session)](
+                Job& j, Response& resp) mutable {
+    resp.timed = true;
+    resp.traced = req.trace;
+    if (req.stage.has_value()) {
+      run_stage(j, req, *session, resp);
+    } else {
+      run_route(j, req, *session, resp);
+    }
+  };
+  return true;
 }
 
-RouteResponse RoutingService::route(RouteRequest req) {
-  return wait_for<RouteResponse>(
-      [&](RouteCallback done) { submit(std::move(req), std::move(done)); });
+bool RoutingService::prepare(Job& job, LoadRequest&& req) {
+  metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
+  const bool gen = static_cast<bool>(req.synth);
+  job.verb = gen ? VerbKind::kGen : VerbKind::kLoad;
+  // The load key IS the session content key, so a cold LOAD queues in the
+  // same shard as that session's routes — fair against other sessions,
+  // ordered within its own.  All GENs share one shard: synthesis has no
+  // session identity yet, and pooling them keeps a generation storm to one
+  // ring turn per round.
+  job.shard = gen ? "gen" : req.key;
+  // A peer gone by dequeue skips the build: nobody wants the session.
+  job.cancel = req.cancel;
+  job.reject = [this, gen](RouteStatus) {
+    metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
+    if (gen) metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
+  };
+  job.run = [this, req = std::move(req)](Job& j, Response& resp) mutable {
+    run_load(j, req, resp);
+  };
+  return true;
 }
 
-void RoutingService::submit_pin(PinRequest req, PinCallback done) {
-  const auto now = std::chrono::steady_clock::now();
-  const auto fail_now = [&](RouteStatus status, std::string error = {}) {
+bool RoutingService::prepare(Job& job, PinRequest&& req) {
+  const auto fail_now = [&](RouteStatus status, const std::string& reason) {
     metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-    PinResponse resp;
-    resp.status = status;
-    resp.error = std::move(error);
-    done(std::move(resp));
+    return answer_now(job.done, status, reason);
   };
   if (req.owner == nullptr) {
     return fail_now(RouteStatus::kError,
                     "pin request without a connection identity");
   }
 
-  Job job;
-  job.kind = Job::Kind::kPin;
   job.verb = VerbKind::kPin;
-  job.pin = pins_.find(req.key);
-  std::string shard;
-  if (job.pin == nullptr && req.op == PinRequest::Op::kPin) {
+  std::shared_ptr<PinnedSession> pin = pins_.find(req.key);
+  std::shared_ptr<const LayoutSession> base;
+  std::uint64_t ticket = 0;
+  if (pin == nullptr && req.op == PinRequest::Op::kPin) {
     // Derive from a cached session.  The expensive copy-on-pin runs on a
     // worker; no ticket — the pin does not exist yet, so nothing to order
     // against.  It shards under the *base session* key: the handle does
     // not exist yet, and the copy-on-pin competes with that session's
     // routes.
-    job.session = cache_.find(req.key);
-    if (job.session == nullptr) return fail_now(RouteStatus::kSessionNotFound);
-    shard = req.key;
-  } else if (job.pin == nullptr) {
+    base = cache_.find(req.key);
+    if (base == nullptr) return fail_now(RouteStatus::kSessionNotFound, {});
+    job.shard = req.key;
+  } else if (pin == nullptr) {
     return fail_now(RouteStatus::kSessionNotFound,
                     "no pin '" + req.key + "'");
   } else if (req.op != PinRequest::Op::kPin && !req.system &&
-             !pins_.verify(job.pin, req.owner)) {
+             !pins_.verify(pin, req.owner)) {
     // Advisory ownership pre-check (claims excepted — claiming an unowned
     // pin is the point; system sweeps too — the autosaver snapshots pins
     // it does not own); re-checked authoritatively on the worker once this
@@ -243,17 +318,31 @@ void RoutingService::submit_pin(PinRequest req, PinCallback done) {
   } else {
     // Mutations shard by handle: the pin's FIFO ticket chain and its queue
     // shard agree on order, and a busy pin cannot starve other sessions.
-    job.pin_ticket = job.pin->acquire_ticket();
-    shard = job.pin->handle;
+    ticket = pin->acquire_ticket();
+    job.shard = pin->handle;
   }
-  job.pin_req = std::move(req);
-  job.pin_done = std::move(done);
-  admit(job, now, std::move(shard));
-}
-
-PinResponse RoutingService::pin_op(PinRequest req) {
-  return wait_for<PinResponse>(
-      [&](PinCallback done) { submit_pin(std::move(req), std::move(done)); });
+  // No cancel token: a pin op from a connection that hung up still runs,
+  // and fails there — derive finds the owner closed, a mutation fails the
+  // ownership re-check — so its ticket is always taken in turn.  Holding
+  // `pin` keeps its state alive if it is released while this job queues.
+  job.reject = [this, pin, ticket](RouteStatus) {
+    metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
+    if (pin != nullptr) pin->abort_turn(ticket);
+  };
+  job.run = [this, req = std::move(req), pin, ticket, base = std::move(base)](
+                Job& j, Response& resp) {
+    if (pin == nullptr) {
+      derive_pin(req, base, resp);
+    } else {
+      pin->wait_turn(ticket);
+      run_pin_op(req, pin, resp);
+      pin->finish_turn(ticket);
+    }
+    j.trace.exec_us = j.elapsed_us();
+    (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
+        .fetch_add(1, std::memory_order_relaxed);
+  };
+  return true;
 }
 
 void RoutingService::release_pins(
@@ -274,15 +363,15 @@ std::size_t RoutingService::final_save_pins() {
     // serializes a committed state, never a half-applied op.
     const std::uint64_t ticket = pin->acquire_ticket();
     pin->wait_turn(ticket);
-    PinResponse resp;
-    save_pin(*pin, pin->handle, resp);
+    std::uint64_t bytes = 0;
+    const std::string error = save_pin(*pin, pin->handle, bytes);
     pin->finish_turn(ticket);
-    if (resp.ok()) {
+    if (error.empty()) {
       ++written;
       metrics_.pin_autosaves.fetch_add(1, std::memory_order_relaxed);
     } else {
       std::cerr << "gcr_serve: final save of '" << pin->handle
-                << "' failed: " << resp.error << "\n";
+                << "' failed: " << error << "\n";
     }
   }
   return written;
@@ -308,7 +397,7 @@ void RoutingService::autosave_loop() {
       req.save_name = pin->handle;
       req.owner = system_owner_;
       req.system = true;
-      submit_pin(std::move(req), [this](PinResponse resp) {
+      submit(std::move(req), [this](Response resp) {
         if (resp.ok()) {
           metrics_.pin_autosaves.fetch_add(1, std::memory_order_relaxed);
         }
@@ -318,205 +407,120 @@ void RoutingService::autosave_loop() {
   }
 }
 
-void RoutingService::submit_load(LoadRequest req, LoadCallback done) {
-  metrics_.loads_offloaded.fetch_add(1, std::memory_order_relaxed);
-  Job job;
-  job.kind = Job::Kind::kLoad;
-  job.verb = req.synth ? VerbKind::kGen : VerbKind::kLoad;
-  // The load key IS the session content key, so a cold LOAD queues in the
-  // same shard as that session's routes — fair against other sessions,
-  // ordered within its own.  All GENs share one shard: synthesis has no
-  // session identity yet, and pooling them keeps a generation storm to one
-  // ring turn per round.
-  std::string shard = req.synth ? "gen" : req.key;
-  job.load = std::move(req);
-  job.load_done = std::move(done);
-  admit(job, std::chrono::steady_clock::now(), std::move(shard));
-}
-
-void RoutingService::admit(Job& job,
-                           std::chrono::steady_clock::time_point now,
-                           std::string shard) {
+void RoutingService::admit(Job& job) {
   job.id = trace_ids_.fetch_add(1, std::memory_order_relaxed) + 1;
-  job.submitted = now;
   // Admission work (session resolve, net-name resolution) is the span
   // between the origin and here; the queue span starts at this stamp.
-  job.trace.enqueue_us =
-      micros_between(now, std::chrono::steady_clock::now());
+  job.trace.enqueue_us = job.elapsed_us();
   // try_push moves only on success, so a rejected job still owns its
   // callback and can deliver the rejection.
-  if (queue_.try_push(shard, std::move(job))) return;
-  switch (job.kind) {
-    case Job::Kind::kRoute: {
-      metrics_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      RouteResponse resp;
-      resp.status = RouteStatus::kRejected;
-      job.done(std::move(resp));
-      return;
-    }
-    case Job::Kind::kPin: {
-      metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-      if (job.pin != nullptr) job.pin->abort_turn(job.pin_ticket);
-      PinResponse resp;
-      resp.status = RouteStatus::kRejected;
-      job.pin_done(std::move(resp));
-      return;
-    }
-    case Job::Kind::kLoad: {
-      metrics_.loads_failed.fetch_add(1, std::memory_order_relaxed);
-      if (job.load.synth) {
-        metrics_.gens_failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      LoadResponse resp;
-      resp.error = "rejected";
-      job.load_done(std::move(resp));
-      return;
-    }
-  }
-}
-
-void RoutingService::run_load_job(Job& job) {
-  LoadResponse resp;
-  if (job.load.cancel &&
-      job.load.cancel->load(std::memory_order_relaxed)) {
-    resp.error = "cancelled";  // peer gone: skip the expensive build
-  } else {
-    try {
-      if (job.load.synth) {
-        // GEN: synthesize here, then load by content — the worker hashes
-        // the body it just produced (no admission-time probe existed).
-        resp.session = cache_.load(job.load.synth(), &resp.cache_hit);
-      } else {
-        resp.session = cache_.load(job.load.text, std::move(job.load.key),
-                                   &resp.cache_hit);
-      }
-      resp.ok = true;
-    } catch (const std::exception& e) {
-      resp.error = e.what();
-    }
-  }
-  job.trace.exec_us =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  (resp.ok ? metrics_.loads_ok : metrics_.loads_failed)
-      .fetch_add(1, std::memory_order_relaxed);
-  if (job.load.synth) {
-    (resp.ok ? metrics_.gens_ok : metrics_.gens_failed)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  record_completion(job, resp.ok ? "ok" : "error",
-                    resp.session != nullptr ? resp.session->key
-                                            : job.load.key);
-  job.load_done(std::move(resp));
+  if (queue_.try_push(job.shard, std::move(job))) return;
+  job.reject(RouteStatus::kRejected);
+  Response resp;
+  resp.fail(RouteStatus::kRejected);
+  job.done(std::move(resp));
 }
 
 void RoutingService::worker_loop() {
-  for (;;) {
-    std::optional<Job> job = queue_.pop();
-    if (!job) return;  // closed and drained
-    job->trace.dequeue_us =
-        micros_between(job->submitted, std::chrono::steady_clock::now());
-    switch (job->kind) {
-      case Job::Kind::kRoute: {
-        RouteResponse resp;
-        run_route_job(*job, resp);
-        finish(*job, std::move(resp));
-        break;
-      }
-      case Job::Kind::kLoad:
-        run_load_job(*job);
-        break;
-      case Job::Kind::kPin:
-        run_pin_job(*job);
-        break;
+  while (std::optional<Job> job = queue_.pop()) {
+    const auto now = std::chrono::steady_clock::now();
+    job->trace.dequeue_us = micros_between(job->submitted, now);
+    metrics_.queue_wait.record(job->trace.dequeue_us);
+    Response resp;
+    if ((job->cancel && job->cancel->load(std::memory_order_relaxed)) ||
+        (job->deadline != std::chrono::steady_clock::time_point{} &&
+         now > job->deadline)) {
+      stop(*job, resp);
+    } else {
+      job->run(*job, resp);
     }
+    record_completion(*job, resp.status);
+    resp.trace = std::move(job->trace);
+    job->done(std::move(resp));
   }
 }
 
-void RoutingService::mark_stopped(const Job& job, RouteResponse& resp) {
-  const bool cancelled =
-      job.req.cancel && job.req.cancel->load(std::memory_order_relaxed);
-  resp.status = cancelled ? RouteStatus::kCancelled : RouteStatus::kExpired;
-  (cancelled ? metrics_.requests_cancelled : metrics_.requests_expired)
-      .fetch_add(1, std::memory_order_relaxed);
+void RoutingService::stop(Job& job, Response& resp) {
+  const RouteStatus status =
+      job.cancel && job.cancel->load(std::memory_order_relaxed)
+          ? RouteStatus::kCancelled
+          : RouteStatus::kExpired;
+  job.reject(status);
+  resp.fail(status);
 }
 
-void RoutingService::run_route_job(Job& job, RouteResponse& resp) {
-  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
-  metrics_.queue_wait.record(job.trace.dequeue_us);
-  if ((job.req.cancel && job.req.cancel->load(std::memory_order_relaxed)) ||
-      (job.req.deadline != std::chrono::steady_clock::time_point{} &&
-       std::chrono::steady_clock::now() > job.req.deadline)) {
-    return mark_stopped(job, resp);
-  }
-  if (job.req.stage.has_value()) return run_stage_job(job, resp);
-
+void RoutingService::run_route(Job& job, RouteRequest& req,
+                               const LayoutSession& session,
+                               Response& resp) {
   try {
     // The session's environment is injected, so this call performs no
     // ObstacleIndex / EscapeLineSet construction — the cache already paid
     // for both.  That holds for *sequential* mode too: the router copies
     // the shared environment and absorbs routed nets with incremental
     // commit_route updates instead of per-net rebuilds.
-    if (job.req.optimize) {
+    route::NetlistResult result;
+    std::vector<route::OptimizePassStats> passes;
+    if (req.optimize) {
       route::OptimizeOptions oopts;
-      oopts.steiner = job.req.opts.steiner;
-      oopts.wire_halo = job.req.opts.wire_halo;
-      if (job.req.optimize_passes > 0) {
-        oopts.max_passes = job.req.optimize_passes;
-      }
-      oopts.budget = job.req.optimize_budget;
-      oopts.deadline = job.req.deadline;
-      oopts.cancel = job.req.cancel;
+      oopts.steiner = req.opts.steiner;
+      oopts.wire_halo = req.opts.wire_halo;
+      if (req.passes > 0) oopts.max_passes = req.passes;
+      oopts.budget = req.budget;
+      oopts.deadline = job.deadline;
+      oopts.cancel = req.cancel;
       // Per-pass sub-spans: wrap the caller's progress hook so every
       // completed pass leaves a trace stamp (same origin as the spans).
-      {
-        const route::OptimizeProgress user = job.req.progress;
-        RequestTrace* trace = &job.trace;
-        const auto origin = job.submitted;
-        oopts.progress = [user, trace,
-                          origin](const route::OptimizePassStats& p) {
-          trace->subs.push_back(
-              {"pass" + std::to_string(p.pass),
-               micros_between(origin, std::chrono::steady_clock::now())});
-          if (user) user(p);
-        };
-      }
-      const route::Optimizer optimizer(job.session->layout,
-                                       job.session->env);
-      job.trace.env_us =
-          micros_between(job.submitted, std::chrono::steady_clock::now());
+      oopts.progress = [user = req.progress,
+                        &job](const route::OptimizePassStats& p) {
+        job.trace.subs.push_back(
+            {"pass" + std::to_string(p.pass), job.elapsed_us()});
+        if (user) user(p);
+      };
+      const route::Optimizer optimizer(session.layout, session.env);
+      job.trace.env_us = job.elapsed_us();
       route::OptimizeReport report = optimizer.run(oopts);
-      job.trace.exec_us =
-          micros_between(job.submitted, std::chrono::steady_clock::now());
+      job.trace.exec_us = job.elapsed_us();
       // The client vanished mid-run (pass-boundary check): nothing wants
       // the result.  PASS lines already streamed are fine — the peer that
       // would have read them is gone.
-      if (report.cancelled) return mark_stopped(job, resp);
-      resp.result = std::move(report.result);
-      resp.passes = std::move(report.passes);
+      if (report.cancelled) return stop(job, resp);
+      result = std::move(report.result);
+      passes = std::move(report.passes);
       metrics_.optimizes_ok.fetch_add(1, std::memory_order_relaxed);
       metrics_.optimize_passes.fetch_add(
-          resp.passes.empty() ? 0 : resp.passes.size() - 1,
-          std::memory_order_relaxed);
+          passes.empty() ? 0 : passes.size() - 1, std::memory_order_relaxed);
     } else {
-      const route::NetlistRouter router(job.session->layout,
-                                        job.session->env);
-      job.req.opts.deadline = job.req.deadline;
-      job.req.opts.cancel = job.req.cancel;
-      job.trace.env_us =
-          micros_between(job.submitted, std::chrono::steady_clock::now());
-      route::NetlistResult result = router.route_all(job.req.opts);
-      job.trace.exec_us =
-          micros_between(job.submitted, std::chrono::steady_clock::now());
+      const route::NetlistRouter router(session.layout, session.env);
+      req.opts.deadline = job.deadline;
+      req.opts.cancel = req.cancel;
+      job.trace.env_us = job.elapsed_us();
+      result = router.route_all(req.opts);
+      job.trace.exec_us = job.elapsed_us();
       // Stopped between nets: the partial result must not be dumped,
       // committed, or counted.
-      if (result.cancelled) return mark_stopped(job, resp);
-      resp.result = std::move(result);
+      if (result.cancelled) return stop(job, resp);
     }
-    resp.session = job.session;
+    MetaBuilder meta;
+    if (req.optimize) meta.add("passes", passes.size());
+    meta.add("routed", result.routed)
+        .add("failed", result.failed)
+        .add("wirelength", result.total_wirelength);
+    if (req.optimize) {
+      meta.add("overflow", passes.empty() ? 0 : passes.back().overflow);
+    }
+    resp.meta = meta.str();
     // The dump restriction: the subset that was routed, or — for a
     // rip-up — the nets that were re-routed (the rest of the netlist was
     // only the committed backdrop).
-    resp.nets = job.req.reroute ? job.req.opts.reroute : job.req.opts.subset;
+    const std::vector<std::size_t>& nets =
+        req.reroute ? req.opts.reroute : req.opts.subset;
+    resp.body = nets.empty()
+                    ? io::write_routes_string(session.layout, result)
+                    : io::write_routes_string(session.layout, result, nets);
+    resp.status = RouteStatus::kOk;
+    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    metrics_.nets_routed.fetch_add(result.routed, std::memory_order_relaxed);
+    metrics_.nets_failed.fetch_add(result.failed, std::memory_order_relaxed);
     // Publish full-netlist results (ROUTE of everything, REROUTE — whose
     // result carries the whole netlist around the rip-up set — and
     // OPTIMIZE) as the session's committed routes.  The fingerprint in
@@ -524,178 +528,152 @@ void RoutingService::run_route_job(Job& job, RouteResponse& resp) {
     // invalidates cached stage results while a byte-identical re-commit
     // keeps them hot.  Subset ROUTEs never commit: their result holds
     // only the requested nets.
-    if (job.req.optimize || job.req.reroute || job.req.opts.subset.empty()) {
-      job.session->routes.set(resp.result);
+    if (req.optimize || req.reroute || req.opts.subset.empty()) {
+      session.routes.set(result);
     }
-    resp.status = RouteStatus::kOk;
-    metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    metrics_.nets_routed.fetch_add(resp.result.routed,
-                                   std::memory_order_relaxed);
-    metrics_.nets_failed.fetch_add(resp.result.failed,
-                                   std::memory_order_relaxed);
   } catch (const std::exception& e) {
-    resp.status = RouteStatus::kError;
-    resp.error = e.what();
+    resp.fail(RouteStatus::kError, e.what());
     metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void RoutingService::run_pin_job(Job& job) {
-  PinResponse resp;
-  resp.queue_wait = std::chrono::microseconds(job.trace.dequeue_us);
-  metrics_.queue_wait.record(job.trace.dequeue_us);
-  if (job.pin == nullptr) {
-    // Derive: copy-on-pin of the cached environment.  The layout is shared
-    // with the base session via an aliasing pointer — the read-only entry
-    // is untouched and stays cached.
-    try {
-      std::shared_ptr<const layout::Layout> layout(job.session,
-                                                   &job.session->layout);
-      std::shared_ptr<PinnedSession> pin = pins_.create(
-          job.session->key, std::move(layout), job.session->env,
-          job.pin_req.owner);
-      if (pin == nullptr) {
-        resp.status = RouteStatus::kCancelled;
-        resp.error = "connection closed";
-      } else {
-        resp.status = RouteStatus::kOk;
-        resp.handle = pin->handle;
-        resp.base_key = pin->base_key;
-        resp.nets_total = pin->layout->nets().size();
-        resp.committed = 0;
-        metrics_.pins_created.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (const std::exception& e) {
-      resp.status = RouteStatus::kError;
-      resp.error = e.what();
-    }
-  } else {
-    job.pin->wait_turn(job.pin_ticket);
-    run_pin_op(job, resp);
-    job.pin->finish_turn(job.pin_ticket);
+void RoutingService::run_load(Job& job, LoadRequest& req, Response& resp) {
+  const bool gen = static_cast<bool>(req.synth);
+  try {
+    bool cached = false;
+    // GEN synthesizes here, then loads by content — the worker hashes the
+    // body it just produced (no admission-time probe existed).
+    const std::shared_ptr<const LayoutSession> session =
+        gen ? cache_.load(req.synth(), &cached)
+            : cache_.load(req.text, std::move(req.key), &cached);
+    resp.meta = load_meta(*session, cached);
+    if (gen) resp.meta += " gen=" + req.gen;
+    resp.status = RouteStatus::kOk;
+    job.shard = session->key;
+  } catch (const std::exception& e) {
+    // A LOAD/GEN reason is echoed bare, without a status prefix.
+    resp.status = RouteStatus::kError;
+    resp.error = e.what();
   }
-  job.trace.exec_us =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
-  resp.latency =
-      record_completion(job, to_string(resp.status), job.pin_req.key);
-  (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
+  job.trace.exec_us = job.elapsed_us();
+  (resp.ok() ? metrics_.loads_ok : metrics_.loads_failed)
       .fetch_add(1, std::memory_order_relaxed);
-  job.pin_done(std::move(resp));
+  if (gen) {
+    (resp.ok() ? metrics_.gens_ok : metrics_.gens_failed)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
-void RoutingService::run_pin_op(Job& job, PinResponse& resp) {
-  PinnedSession& pin = *job.pin;
-  const PinRequest& req = job.pin_req;
-  resp.handle = pin.handle;
-  resp.base_key = pin.base_key;
+void RoutingService::derive_pin(
+    const PinRequest& req, const std::shared_ptr<const LayoutSession>& base,
+    Response& resp) {
+  // Copy-on-pin of the cached environment.  The layout is shared with the
+  // base session via an aliasing pointer — the read-only entry is
+  // untouched and stays cached.
+  try {
+    std::shared_ptr<const layout::Layout> layout(base, &base->layout);
+    const std::shared_ptr<PinnedSession> pin =
+        pins_.create(base->key, std::move(layout), base->env, req.owner);
+    if (pin == nullptr) {
+      return resp.fail(RouteStatus::kCancelled, "connection closed");
+    }
+    resp.status = RouteStatus::kOk;
+    resp.meta = pin_meta(*pin);
+    metrics_.pins_created.fetch_add(1, std::memory_order_relaxed);
+  } catch (const std::exception& e) {
+    resp.fail(RouteStatus::kError, e.what());
+  }
+}
+
+void RoutingService::run_pin_op(const PinRequest& req,
+                                const std::shared_ptr<PinnedSession>& handle,
+                                Response& resp) {
+  PinnedSession& pin = *handle;
   if (req.op == PinRequest::Op::kPin) {
     // Claim (an existing handle — restored-unowned or idempotent re-claim).
     // Resolved here rather than at admission so a pipelined claim observes
     // the pin's state in submission order.
-    switch (pins_.claim(pin.handle, req.owner, nullptr)) {
+    switch (pins_.claim(pin.handle, req.owner)) {
       case PinRegistry::ClaimResult::kOk:
         resp.status = RouteStatus::kOk;
-        resp.nets_total = pin.layout->nets().size();
-        resp.committed = pin.routes.size();
+        resp.meta = pin_meta(pin);
         break;
       case PinRegistry::ClaimResult::kNotFound:
-        resp.status = RouteStatus::kCancelled;
-        resp.error = "pin released";
+        resp.fail(RouteStatus::kCancelled, "pin released");
         break;
       case PinRegistry::ClaimResult::kOwnedElsewhere:
-        resp.status = RouteStatus::kError;
-        resp.error = "pin '" + pin.handle + "' is owned by another connection";
+        resp.fail(RouteStatus::kError,
+                  "pin '" + pin.handle + "' is owned by another connection");
         break;
       case PinRegistry::ClaimResult::kOwnerClosed:
-        resp.status = RouteStatus::kCancelled;
-        resp.error = "connection closed";
+        resp.fail(RouteStatus::kCancelled, "connection closed");
         break;
     }
     return;
   }
-  if (req.system ? pins_.find(pin.handle) != job.pin
-                 : !pins_.verify(job.pin, req.owner)) {
+  if (req.system ? pins_.find(pin.handle) != handle
+                 : !pins_.verify(handle, req.owner)) {
     // The pin was released (disconnect or UNPIN racing ahead in another
     // claim cycle) between admission and this turn.  System sweeps skip the
     // ownership half of the check — the autosaver saves pins it does not
     // own — but still bail if the pin left the registry.
-    resp.status = RouteStatus::kCancelled;
-    resp.error = "pin released";
-    return;
+    return resp.fail(RouteStatus::kCancelled, "pin released");
   }
+  MetaBuilder meta;
+  meta.add("pin", pin.handle);
   if (req.op == PinRequest::Op::kUnpin) {
-    if (pins_.erase(pin.handle, req.owner)) {
-      resp.status = RouteStatus::kOk;
-      metrics_.pins_released.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      resp.status = RouteStatus::kCancelled;
-      resp.error = "pin released";
+    if (!pins_.erase(pin.handle, req.owner)) {
+      return resp.fail(RouteStatus::kCancelled, "pin released");
     }
+    resp.status = RouteStatus::kOk;
+    resp.meta = meta.add("released", 1).str();
+    metrics_.pins_released.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  resp.timed = true;
   try {
     if (req.op == PinRequest::Op::kSave) {
-      save_pin(pin, req.save_name, resp);
+      std::uint64_t bytes = 0;
+      const std::string error = save_pin(pin, req.save_name, bytes);
+      if (!error.empty()) return resp.fail(RouteStatus::kError, error);
+      resp.status = RouteStatus::kOk;
+      resp.meta = meta.add("bytes", bytes).str();
       return;
     }
 
     // Resolve names first: any unknown name fails the whole op before a
     // single mutation lands (atomic at the op level).
     std::vector<std::size_t> ids;
-    ids.reserve(req.nets.size());
-    std::vector<bool> taken(pin.layout->nets().size(), false);
-    for (const std::string& name : req.nets) {
-      const auto it = pin.net_index.find(name);
-      if (it == pin.net_index.end()) {
-        resp.status = RouteStatus::kError;
-        resp.error = "unknown net '" + name + "'";
-        return;
-      }
-      if (taken[it->second]) continue;  // duplicate name: once
-      taken[it->second] = true;
-      ids.push_back(it->second);
-    }
-    resp.nets_total = ids.size();
+    const std::string error =
+        resolve_nets(pin.net_index, pin.layout->nets().size(), req.nets, ids);
+    if (!error.empty()) return resp.fail(RouteStatus::kError, error);
 
-    if (req.op == PinRequest::Op::kCommit) {
-      for (const std::size_t id : ids) {
-        if (pin.routes.count(id) != 0) {
-          resp.status = RouteStatus::kError;
-          resp.error = "net '" + pin.layout->nets()[id].name() +
-                       "' is already committed";
-          return;
-        }
-      }
-    } else if (req.op == PinRequest::Op::kUncommit) {
-      for (const std::size_t id : ids) {
-        if (pin.routes.count(id) == 0) {
-          resp.status = RouteStatus::kError;
-          resp.error =
-              "net '" + pin.layout->nets()[id].name() + "' is not committed";
-          return;
-        }
+    // COMMIT needs every listed net uncommitted, UNCOMMIT committed;
+    // REROUTE takes either.
+    const bool uncommit = req.op == PinRequest::Op::kUncommit;
+    for (const std::size_t id : ids) {
+      if (req.op != PinRequest::Op::kReroute &&
+          (pin.routes.count(id) != 0) != uncommit) {
+        return resp.fail(RouteStatus::kError,
+                         "net '" + pin.layout->nets()[id].name() +
+                             (uncommit ? "' is not committed"
+                                       : "' is already committed"));
       }
     }
-
-    if (req.op == PinRequest::Op::kUncommit) {
-      for (const std::size_t id : ids) {
+    // Rip up the listed nets that are present (none for COMMIT); a
+    // REROUTE's absent ones just route.
+    for (const std::size_t id : ids) {
+      if (pin.routes.count(id) != 0) {
         pin.env.remove_route(id);
         pin.routes.erase(id);
       }
-      resp.removed = ids.size();
-      resp.committed = pin.routes.size();
-      resp.status = RouteStatus::kOk;
-      return;
     }
-
-    if (req.op == PinRequest::Op::kReroute) {
-      // Rip up the listed nets that are present; absent ones just route.
-      for (const std::size_t id : ids) {
-        if (pin.routes.count(id) != 0) {
-          pin.env.remove_route(id);
-          pin.routes.erase(id);
-        }
-      }
+    if (uncommit) {
+      resp.status = RouteStatus::kOk;
+      resp.meta = meta.add("removed", ids.size())
+                      .add("committed", pin.routes.size())
+                      .str();
+      return;
     }
 
     // Route and commit incrementally, in list order.  The router reads the
@@ -703,45 +681,45 @@ void RoutingService::run_pin_op(Job& job, PinResponse& resp) {
     // no environment construction anywhere on this path.
     const route::SteinerNetRouter router(pin.env.index(), pin.env.lines());
     const route::SteinerOptions sopts;
+    route::NetlistResult nr;  // this op's nets only: the reply's dump
+    nr.routes.resize(pin.layout->nets().size());
     for (const std::size_t id : ids) {
       route::NetRoute r =
           router.route_net(*pin.layout, pin.layout->nets()[id], sopts);
       if (r.ok) {
         pin.env.commit_route(id, r.segments, req.wire_halo);
-        ++resp.routed;
-        resp.wirelength += r.wirelength;
+        ++nr.routed;
+        nr.total_wirelength += r.wirelength;
       } else {
-        ++resp.failed;
+        ++nr.failed;
       }
+      nr.routes[id] = r;
       pin.routes[id] = std::move(r);
     }
-
-    // Dump only the nets this op touched.
-    route::NetlistResult nr;
-    nr.routes.resize(pin.layout->nets().size());
-    for (const std::size_t id : ids) nr.routes[id] = pin.routes[id];
     resp.body = io::write_routes_string(*pin.layout, nr, ids);
-    resp.committed = pin.routes.size();
+    if (req.op == PinRequest::Op::kCommit) {
+      meta.add("committed", pin.routes.size());
+    }
+    resp.meta = meta.add("routed", nr.routed)
+                    .add("failed", nr.failed)
+                    .add("wirelength", nr.total_wirelength)
+                    .str();
     resp.status = RouteStatus::kOk;
   } catch (const std::exception& e) {
-    resp.status = RouteStatus::kError;
-    resp.error = e.what();
+    resp.fail(RouteStatus::kError, e.what());
   }
 }
 
-void RoutingService::save_pin(const PinnedSession& pin,
-                              const std::string& name, PinResponse& resp) {
+std::string RoutingService::save_pin(const PinnedSession& pin,
+                                     const std::string& name,
+                                     std::uint64_t& bytes) {
   if (opts_.snapshot_dir.empty()) {
-    resp.status = RouteStatus::kError;
-    resp.error = "snapshots are disabled (start with --snapshot-dir)";
-    return;
+    return "snapshots are disabled (start with --snapshot-dir)";
   }
   if (name.empty() || name.front() == '.' ||
       name.find('/') != std::string::npos ||
       name.find('\\') != std::string::npos) {
-    resp.status = RouteStatus::kError;
-    resp.error = "SAVE name must be a plain file name";
-    return;
+    return "SAVE name must be a plain file name";
   }
 
   // Encode the compacted live view: tombstones vanish, survivors are
@@ -753,9 +731,7 @@ void RoutingService::save_pin(const PinnedSession& pin,
   const spatial::ObstacleIndex& index = pin.env.index();
   const std::vector<spatial::EscapeLine>& lines = pin.env.lines().lines();
   if (lines.size() != 4 + 4 * index.size()) {
-    resp.status = RouteStatus::kError;
-    resp.error = "snapshot: line table out of step with the index";
-    return;
+    return "snapshot: line table out of step with the index";
   }
   snap.boundary = index.boundary();
   snap.base_obstacles = index.live_size() - pin.env.committed();
@@ -783,9 +759,7 @@ void RoutingService::save_pin(const PinnedSession& pin,
     renumbered.reserve(record.size());
     for (const std::size_t slot : record) {
       if (slot >= remap.size() || remap[slot] == spatial::ObstacleIndex::npos) {
-        resp.status = RouteStatus::kError;
-        resp.error = "snapshot: commit record references a dead obstacle";
-        return;
+        return "snapshot: commit record references a dead obstacle";
       }
       renumbered.push_back(remap[slot]);
     }
@@ -810,14 +784,10 @@ void RoutingService::save_pin(const PinnedSession& pin,
     if (ec) error = "cannot publish snapshot file: " + ec.message();
   }
   if (error.empty()) error = sync_path(dir, O_RDONLY | O_DIRECTORY);
-  if (!error.empty()) {
-    resp.status = RouteStatus::kError;
-    resp.error = std::move(error);
-    return;
-  }
-  resp.save_bytes = blob.size();
-  resp.status = RouteStatus::kOk;
+  if (!error.empty()) return error;
+  bytes = blob.size();
   metrics_.pin_saves.fetch_add(1, std::memory_order_relaxed);
+  return {};
 }
 
 void RoutingService::restore_pins(const std::string& dir) {
@@ -883,92 +853,79 @@ void RoutingService::restore_pins(const std::string& dir) {
   }
 }
 
-void RoutingService::run_stage_job(Job& job, RouteResponse& resp) {
-  const pipeline::StageOptions& sopts = *job.req.stage;
+void RoutingService::run_stage(Job& job, const RouteRequest& req,
+                               const LayoutSession& session,
+                               Response& resp) {
+  const pipeline::StageOptions& sopts = *req.stage;
   try {
     // The stage consumes the committed routes.  A fresh session has none:
     // run the default full sequential pass once and commit it, so `LOAD;
     // DETAIL` works without an explicit ROUTE — and later stages (and
     // ROUTEs) share that exact snapshot.
     std::shared_ptr<const pipeline::CommittedRoutes> state =
-        job.session->routes.get();
+        session.routes.get();
     if (state == nullptr) {
-      const route::NetlistRouter router(job.session->layout,
-                                        job.session->env);
+      const route::NetlistRouter router(session.layout, session.env);
       // The implicit route honors the stage request's deadline and cancel
       // token (checked between nets) — on a large GEN'd session it can
       // dwarf the stage itself.  A stopped route is never committed: the
       // next request starts from a clean no-routes slot.
       route::NetlistOptions ropts;
-      ropts.deadline = job.req.deadline;
-      ropts.cancel = job.req.cancel;
+      ropts.deadline = job.deadline;
+      ropts.cancel = req.cancel;
       route::NetlistResult routed = router.route_all(ropts);
       if (routed.cancelled) {
-        mark_stopped(job, resp);
+        stop(job, resp);
         metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      state = job.session->routes.set(std::move(routed));
+      state = session.routes.set(std::move(routed));
     }
     // Committed routes (possibly just materialized above) are this verb's
     // "environment": everything after this stamp is the stage itself.
-    job.trace.env_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
+    job.trace.env_us = job.elapsed_us();
 
     const std::string key = pipeline::StageCache::key_for(
-        job.session->key, state->fingerprint, sopts.fingerprint());
-    std::shared_ptr<const pipeline::StageResult> cached =
+        session.key, state->fingerprint, sopts.fingerprint());
+    std::shared_ptr<const pipeline::StageResult> result =
         stage_cache_.find(key);
-    if (cached != nullptr) {
-      resp.stage = std::move(cached);
-      resp.stage_cached = true;
-      job.trace.subs.push_back(
-          {"stage_cache_hit",
-           micros_between(job.submitted, std::chrono::steady_clock::now())});
-    } else {
-      const pipeline::StageContext ctx{job.session->layout,
-                                       job.session->env, state->result,
-                                       job.req.cancel, job.req.deadline};
+    const bool cached = result != nullptr;
+    if (!cached) {
+      const pipeline::StageContext ctx{session.layout, session.env,
+                                       state->result, req.cancel,
+                                       job.deadline};
       pipeline::StageOutcome out = pipeline::run_stage(ctx, sopts);
       if (out.result == nullptr) {  // stopped inside the engine
-        mark_stopped(job, resp);
+        stop(job, resp);
         metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       stage_cache_.insert(key, out.result);
-      resp.stage = std::move(out.result);
-      job.trace.subs.push_back(
-          {"stage_run",
-           micros_between(job.submitted, std::chrono::steady_clock::now())});
+      result = std::move(out.result);
     }
-    job.trace.exec_us =
-        micros_between(job.submitted, std::chrono::steady_clock::now());
-    resp.session = job.session;
+    job.trace.subs.push_back(
+        {cached ? "stage_cache_hit" : "stage_run", job.elapsed_us()});
+    job.trace.exec_us = job.elapsed_us();
+    resp.meta = MetaBuilder()
+                    .add("stage", pipeline::to_string(result->kind))
+                    .add("cached", cached ? 1 : 0)
+                    .raw(result->meta)
+                    .str();
+    resp.body = result->body;
     resp.status = RouteStatus::kOk;
     metrics_.requests_ok.fetch_add(1, std::memory_order_relaxed);
     metrics_.stages_ok.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
-    resp.status = RouteStatus::kError;
-    resp.error = e.what();
+    resp.fail(RouteStatus::kError, e.what());
     metrics_.requests_errored.fetch_add(1, std::memory_order_relaxed);
     metrics_.stages_failed.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void RoutingService::finish(Job& job, RouteResponse&& resp) {
-  resp.latency =
-      record_completion(job, to_string(resp.status), job.req.session_key);
-  resp.trace = std::move(job.trace);
-  resp.traced = job.req.trace;
-  job.done(std::move(resp));
-}
-
-std::chrono::microseconds RoutingService::record_completion(
-    Job& job, std::string_view status, std::string session) {
-  // One clock read produces both the reported latency and the trace's
-  // total_us — the rendered span deltas sum to total_us exactly.
-  const std::uint64_t total =
-      micros_between(job.submitted, std::chrono::steady_clock::now());
+void RoutingService::record_completion(Job& job, RouteStatus status) {
+  // One clock read closes the chain: the rendered span deltas sum to
+  // total_us exactly.
+  const std::uint64_t total = job.elapsed_us();
   RequestTrace& trace = job.trace;
   // Early-out paths (cancel/expiry at dequeue, admission-stage errors) skip
   // some stamps; clamp forward so the chain stays monotone with zero-width
@@ -977,35 +934,25 @@ std::chrono::microseconds RoutingService::record_completion(
   if (trace.env_us < trace.dequeue_us) trace.env_us = trace.dequeue_us;
   if (trace.exec_us < trace.env_us) trace.exec_us = trace.env_us;
   trace.total_us = total;
-  // LOAD and GEN stay out of the aggregate histogram: STATS reports it as
-  // the routing percentiles, and one cold environment build would distort
-  // p95/p99 for every dashboard reading them.  Their latency lives in
-  // their own verb shard (and in the slow-request ring) instead.
-  if (job.kind != Job::Kind::kLoad) metrics_.latency.record(total);
   metrics_.verb_latency[static_cast<std::size_t>(job.verb)].record(total);
   SlowRecord rec;
   rec.id = job.id;
   rec.verb = job.verb;
-  rec.session = std::move(session);
-  rec.status = status;
+  rec.session = job.shard;
+  rec.status = to_string(status);
   rec.trace = trace;
   slow_ring_.offer(std::move(rec));
-  return std::chrono::microseconds(total);
 }
 
 MetricsSnapshot RoutingService::snapshot() const {
   MetricsSnapshot s;
-  load_counters(s, metrics_);
+  load_counters<ServiceCounters<std::uint64_t>>(s, metrics_);
   s.pins_active = pins_.size();
   s.stage_cache_hits = stage_cache_.hits();
   s.stage_cache_misses = stage_cache_.misses();
   s.stage_cache_evictions = stage_cache_.evictions();
   s.stage_cache_size = stage_cache_.size();
   // One bucket snapshot per histogram serves every quantile query.
-  const Histogram::Snapshot lat = metrics_.latency.snapshot();
-  s.latency_p50_us = lat.percentile(50);
-  s.latency_p95_us = lat.percentile(95);
-  s.latency_p99_us = lat.percentile(99);
   s.queue_wait_p50_us = metrics_.queue_wait.snapshot().percentile(50);
   for (std::size_t i = 0; i < kVerbKinds; ++i) {
     const Histogram::Snapshot vs = metrics_.verb_latency[i].snapshot();

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/netlist_router.hpp"
@@ -25,25 +25,29 @@
 
 /// \file routing_service.hpp
 /// The serving facade: a persistent worker pool draining a bounded,
-/// fair (round-robin) job queue of route requests against cached layout
-/// sessions.
+/// fair (round-robin) job queue against cached layout sessions.
 ///
-/// Admission is callback-driven: submit, submit_load and submit_pin take
-/// the request plus a completion that fires exactly once, inline for
-/// fail-fast outcomes or on a worker.  route() and pin_op() are the
-/// closed-loop waits over them.  serve::dispatch (serve/dispatch.hpp) is
-/// the protocol's only caller.
+/// Every command that leaves the front-end thread is one Job with one
+/// lifecycle, whatever the verb:
+///   submit  -> the request family's admission: resolve the session, pin
+///              or net names (a miss answers inline, nothing queued) and
+///              bind the job's run and reject functions
+///           -> admission through the bounded fair queue (full = the job's
+///              reject path, answered inline); jobs shard by session key
+///              (pins by handle, LOADs by content key, GENs together) and
+///              dequeue round-robin, so one saturating session cannot
+///              starve its neighbors
+///   worker  -> cancellation and deadline checked at dequeue (a stopped job
+///              takes its reject path too)
+///           -> the job's run function fills one Response: status, error,
+///              verb meta and body — rendered here, on the worker, because
+///              route dumps and stage bodies (possibly a multi-MB SVG) are
+///              the expensive part of a reply
+///   done    -> record_completion closes the spans and latency shards, and
+///              the callback fires exactly once; format_response
+///              (serve/protocol.hpp) turns the Response into the wire frame
 ///
-/// Request lifecycle:
-///   submit  -> session resolved (miss fails fast, nothing queued)
-///           -> admission through the bounded fair queue (full = rejected);
-///              jobs shard by session key (pins by handle, LOADs by content
-///              key, GENs together) and dequeue round-robin, so
-///              one saturating session cannot starve its neighbors
-///   worker  -> cancellation and deadline checked at dequeue
-///           -> NetlistRouter::route_all over the session's shared
-///              SearchEnvironment (no per-request index builds)
-///   done    -> RouteResponse with result, status, and latency breakdown
+/// serve::dispatch (serve/dispatch.hpp) is the protocol's only caller.
 ///
 /// Deadlines and cancellation are enforced at the queue boundary — a job
 /// whose deadline passed while queued, or whose client hung up, is dropped
@@ -66,6 +70,8 @@ enum class RouteStatus {
 
 [[nodiscard]] const char* to_string(RouteStatus s) noexcept;
 
+/// A route-family command (ROUTE/REROUTE/OPTIMIZE/stage verbs), as the
+/// protocol parses it and the service admits it.
 struct RouteRequest {
   std::string session_key;
   route::NetlistOptions opts;
@@ -75,36 +81,36 @@ struct RouteRequest {
   /// rip these up and re-route them last).  An unknown name fails the
   /// request with kError before anything is queued.  Duplicate names
   /// collapse to one entry.  Empty = whole netlist (ROUTE only).
-  std::vector<std::string> net_names;
-  /// REROUTE semantics: `net_names` is the rip-up set, routed against the
+  std::vector<std::string> nets;
+  /// REROUTE semantics: `nets` is the rip-up set, routed against the
   /// committed remainder of a full sequential pass (see
   /// route::NetlistOptions::reroute).  The response dump is restricted to
   /// these nets, exactly like a subset request.
   bool reroute = false;
   /// OPTIMIZE semantics: run the iterated rip-up-and-reroute engine over
-  /// the whole netlist instead of a single routing pass.  `net_names` must
-  /// be empty; `opts.steiner`/`opts.wire_halo` still apply; the engine's
-  /// own knobs ride in `optimize_passes`/`optimize_budget`; `deadline` and
+  /// the whole netlist instead of a single routing pass.  `nets` must be
+  /// empty; `opts.steiner`/`opts.wire_halo` still apply; the engine's own
+  /// knobs ride in `passes`/`budget`; `deadline` and
   /// `cancel` are honored *at pass boundaries* too (not just at dequeue) —
   /// expiry mid-run returns the best routing so far rather than an error.
   bool optimize = false;
   /// Pipeline-stage semantics (DETAIL/CONGEST/VERIFY/SVG): run the selected
   /// stage against the session's committed routes instead of routing.
-  /// `net_names` must be empty; `optimize`/`reroute` must be false.  A
+  /// `nets` must be empty; `optimize`/`reroute` must be false.  A
   /// session with no committed routes first runs a default full sequential
   /// pass (deterministic) and commits it, so a stage verb works on a fresh
   /// session too.  Results are cached content-addressed — see StageCache.
   std::optional<pipeline::StageOptions> stage;
   /// Pass cap for OPTIMIZE; 0 = the engine default.
-  std::size_t optimize_passes = 0;
+  std::size_t passes = 0;
   /// Wall-clock budget for OPTIMIZE; zero = unbounded.
-  std::chrono::milliseconds optimize_budget{0};
+  std::chrono::milliseconds budget{0};
   /// Per-pass progress hook for OPTIMIZE (may be empty).  Invoked on the
   /// worker thread after every completed pass; the front-ends stream each
   /// call as a `PASS` reply line.  Must not block or throw.
   route::OptimizeProgress progress;
-  /// Zero (default) = no deadline.
-  std::chrono::steady_clock::time_point deadline{};
+  /// Counted from admission; unset (default) = no deadline.
+  std::optional<std::chrono::milliseconds> deadline;
   /// Optional cooperative cancel token; set it to true to drop the request
   /// — before a worker picks it up, or mid-run at the engine's next check
   /// (between nets / at pass boundaries / inside stage loops).
@@ -120,42 +126,6 @@ struct RouteRequest {
   std::chrono::steady_clock::time_point received{};
 };
 
-struct RouteResponse {
-  RouteStatus status = RouteStatus::kError;
-  std::string error;  ///< populated for kError
-  /// The session the request routed against (null unless kOk); holding it
-  /// keeps the layout alive while the caller renders the route dump.
-  std::shared_ptr<const LayoutSession> session;
-  route::NetlistResult result;
-  /// The net indices the request covered (the resolved subset); empty when
-  /// the whole netlist was routed.  Dump rendering must restrict itself to
-  /// these — unlisted `result.routes` slots were never attempted.
-  std::vector<std::size_t> nets;
-  /// OPTIMIZE: the per-pass convergence curve (pass 1 first, wirelength
-  /// and overflow non-increasing).  Empty for plain ROUTE/REROUTE.
-  std::vector<route::OptimizePassStats> passes;
-  /// Stage requests: the rendered stage output (null otherwise) and whether
-  /// it was served from the stage cache.
-  std::shared_ptr<const pipeline::StageResult> stage;
-  bool stage_cached = false;
-  std::chrono::microseconds queue_wait{0};  ///< submit -> dequeue
-  std::chrono::microseconds latency{0};     ///< submit -> completion
-  /// The span breakdown (always populated for worker-served requests;
-  /// trace.total_us equals latency exactly — same clock read).
-  RequestTrace trace;
-  /// Echo of RouteRequest::trace: the front-end appends trace.render_meta()
-  /// to the response meta iff set.
-  bool traced = false;
-
-  [[nodiscard]] bool ok() const noexcept { return status == RouteStatus::kOk; }
-};
-
-/// Completion callback for submit.  Invoked exactly once: inline on the
-/// submitting thread for fail-fast outcomes (unknown session, unknown net,
-/// full queue), or on a worker thread after routing.  It must not block —
-/// the worker pool's throughput rides on it.
-using RouteCallback = std::function<void(RouteResponse)>;
-
 /// A LOAD or GEN admission: LOAD sets `text` and `key`, GEN sets `synth`.
 struct LoadRequest {
   /// LOAD: the layout text and its precomputed SessionCache::content_key —
@@ -165,25 +135,14 @@ struct LoadRequest {
   std::string key;
   /// GEN: produces the layout text on the worker (at the parse caps
   /// synthesis alone can run for seconds).  May throw; the failure comes
-  /// back as ok=false.
+  /// back as the ERR reason.
   std::function<std::string()> synth;
+  /// GEN: the generator name, echoed as the reply's trailing `gen=<kind>`.
+  std::string gen;
   /// Set at dequeue: skip the build — the peer is gone and nobody wants
-  /// the session (the callback still fires, with ok=false).
+  /// the session (the callback still fires, cancelled).
   std::shared_ptr<std::atomic<bool>> cancel;
 };
-
-/// Outcome of a LOAD/GEN job (parse + validate + environment build on a
-/// worker instead of the caller's thread).
-struct LoadResponse {
-  bool ok = false;
-  std::string error;  ///< parse/validation failure, or the rejection reason
-  std::shared_ptr<const LayoutSession> session;  ///< set iff ok
-  bool cache_hit = false;
-};
-
-/// Invoked exactly once, like RouteCallback: inline for a full queue, on a
-/// worker thread otherwise.  Must not block.
-using LoadCallback = std::function<void(LoadResponse)>;
 
 /// A session-lifecycle request (PIN / UNPIN / COMMIT / UNCOMMIT / pinned
 /// REROUTE / SAVE).  `owner` is the submitting connection's identity — its
@@ -209,29 +168,48 @@ struct PinRequest {
   bool system = false;
 };
 
-struct PinResponse {
+/// A queued command: one request of each verb family.
+using Request = std::variant<RouteRequest, LoadRequest, PinRequest>;
+
+/// What every job answers, whatever its verb: the run function fills the
+/// status and either the error or the verb's meta and body, and
+/// format_response (serve/protocol.hpp) renders it as the wire frame.
+struct Response {
   RouteStatus status = RouteStatus::kError;
+  /// The ERR frame's reason, complete (fail() prefixes the status text).
   std::string error;
-  std::string handle;
-  std::string base_key;
-  std::size_t nets_total = 0;  ///< nets in the pin's layout
-  std::size_t committed = 0;   ///< nets currently recorded in the pin
-  std::size_t removed = 0;     ///< UNCOMMIT: entries cleared
-  std::size_t routed = 0;      ///< COMMIT/REROUTE: ok nets this op
-  std::size_t failed = 0;      ///< COMMIT/REROUTE: failed nets this op
-  geom::Cost wirelength = 0;   ///< COMMIT/REROUTE: total over this op's nets
-  std::string body;            ///< COMMIT/REROUTE: route dump of this op's nets
-  std::uint64_t save_bytes = 0;  ///< SAVE: blob size written
-  std::chrono::microseconds queue_wait{0};
-  std::chrono::microseconds latency{0};
+  /// The verb's own `key=value` meta, without the timing tail.
+  std::string meta;
+  std::string body;
+  /// Whether the reply meta ends with `queue_us=<q> total_us=<t>` (every
+  /// worker-run verb except LOAD, GEN, PIN and UNPIN).
+  bool timed = false;
+  /// `trace=1`: format_response appends trace.render_meta().
+  bool traced = false;
+  /// The span breakdown, populated for worker-served jobs: queue_us is
+  /// trace.dequeue_us, total_us is trace.total_us.
+  RequestTrace trace;
 
   [[nodiscard]] bool ok() const noexcept { return status == RouteStatus::kOk; }
+  /// Marks the response failed: ERR `<status>` or `<status>: <reason>`.
+  void fail(RouteStatus s, const std::string& reason = {});
 };
 
-/// Invoked exactly once: inline for fail-fast outcomes (unknown key, not
-/// the owner, full queue, inline claims) or on a worker thread.  Must not
-/// block.
-using PinCallback = std::function<void(PinResponse)>;
+/// Completion callback for submit.  Invoked exactly once: inline on the
+/// submitting thread for fail-fast outcomes (unknown session, unknown net,
+/// non-owner pin, full queue), or on a worker thread.  It must not block —
+/// the worker pool's throughput rides on it.
+using Callback = std::function<void(Response)>;
+
+/// The closed-loop names the benchmark harness drives.
+using RouteResponse = Response;
+/// pin_op's result: a Response plus the `pin=` handle it names and its
+/// queue and total spans.
+struct PinResponse : Response {
+  std::string handle;
+  std::chrono::microseconds queue_wait{0};
+  std::chrono::microseconds latency{0};
+};
 
 class RoutingService {
  public:
@@ -275,29 +253,21 @@ class RoutingService {
   std::shared_ptr<const LayoutSession> load(const std::string& text,
                                             bool* cache_hit = nullptr);
 
-  /// Route-family admission (ROUTE/REROUTE/OPTIMIZE/stage verbs): \p done
-  /// fires with the response wherever it materializes (see RouteCallback).
-  void submit(RouteRequest req, RouteCallback done);
-
-  /// LOAD/GEN admission: the layout parse, validation, and expensive
-  /// environment build (plus, for GEN, the synthesis) run on the worker
-  /// pool, so a cold-session storm cannot stall a front-end thread.
-  /// \p done fires on a worker, or inline with a rejection when the queue
-  /// is full.
-  void submit_load(LoadRequest req, LoadCallback done);
+  /// Admits one job.  Route-family requests (ROUTE/REROUTE/OPTIMIZE/stage
+  /// verbs) resolve their session and net names here; LOAD/GEN run their
+  /// parse, validation and environment build (plus, for GEN, the
+  /// synthesis) on the worker pool, so a cold-session storm cannot stall a
+  /// front-end thread; pin ops check ownership here and again on the
+  /// worker, so a pin released mid-queue fails cleanly, and mutations of
+  /// one pin apply in submission order — a per-pin FIFO ticket chain
+  /// layered over the queue (see pinned_session.hpp).  \p done fires
+  /// exactly once (see Callback).
+  void submit(Request req, Callback done);
 
   /// Closed-loop convenience: submit and wait.
-  [[nodiscard]] RouteResponse route(RouteRequest req);
+  [[nodiscard]] Response call(Request req);
 
-  /// Session-lifecycle admission.  Claims of an existing handle resolve
-  /// inline (registry mutation only); PIN-derive and every mutating op run
-  /// on the worker pool.  Mutations of one pin apply in submission order —
-  /// a per-pin FIFO ticket chain layered over the queue (see
-  /// pinned_session.hpp) — and the ownership check runs both at admission
-  /// and again on the worker, so a pin released mid-queue fails cleanly.
-  void submit_pin(PinRequest req, PinCallback done);
-
-  /// Closed-loop convenience: submit_pin and wait.
+  /// call() for a pin op, with the reply's `pin=` handle parsed out.
   [[nodiscard]] PinResponse pin_op(PinRequest req);
 
   /// Releases every pin owned by \p owner — the disconnect auto-release
@@ -320,9 +290,6 @@ class RoutingService {
   [[nodiscard]] PinRegistry& pins() noexcept { return pins_; }
 
   [[nodiscard]] SessionCache& sessions() noexcept { return cache_; }
-  [[nodiscard]] pipeline::StageCache& stages() noexcept {
-    return stage_cache_;
-  }
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   /// The STATS response body: the metrics snapshot plus whatever the
@@ -355,59 +322,69 @@ class RoutingService {
   [[nodiscard]] std::uint64_t uptime_s() const;
 
  private:
+  /// One admitted command: the header every job shares, plus the two
+  /// functions its request family bound at admission.
   struct Job {
-    enum class Kind { kRoute, kLoad, kPin };
-    Kind kind = Kind::kRoute;
+    /// Admission sequence number (TRACE output id).
+    std::uint64_t id = 0;
     /// Which latency shard and TRACE label this job belongs to.
     VerbKind verb = VerbKind::kRoute;
-    /// Admission sequence number (TRACE output id) and the span stamps,
-    /// written by admit/worker and closed by record_completion.
-    std::uint64_t id = 0;
+    /// The queue key — session key, pin handle, LOAD content key, or "gen"
+    /// — and the TRACE session label (a GEN relabels itself with the
+    /// session it produced).
+    std::string shard;
+    /// Span stamps, written by admit/worker and closed by
+    /// record_completion.
     RequestTrace trace;
-    // kRoute fields.
-    RouteRequest req;
-    std::shared_ptr<const LayoutSession> session;
-    RouteCallback done;
-    // kLoad fields.
-    LoadRequest load;
-    LoadCallback load_done;
-    // kPin fields.
-    PinRequest pin_req;
-    /// Resolved at admission for mutating ops (kPin-derive resolves the
-    /// base session into `session` instead); holding it keeps the pin's
-    /// state alive even if it is released while this job is queued.
-    std::shared_ptr<PinnedSession> pin;
-    std::uint64_t pin_ticket = 0;
-    PinCallback pin_done;
     std::chrono::steady_clock::time_point submitted;
+    /// Microseconds since submission: the clock read every stamp takes.
+    [[nodiscard]] std::uint64_t elapsed_us() const;
+    /// Checked at dequeue: a passed deadline (zero = none) or a set token
+    /// takes the reject path instead of run.
+    std::chrono::steady_clock::time_point deadline{};
+    std::shared_ptr<std::atomic<bool>> cancel;
+    /// Does the work on a worker and fills the response.
+    std::function<void(Job&, Response&)> run;
+    /// Counts a job answered without running — queue full, expired or
+    /// cancelled — and returns what admission took (a pin's ticket).
+    std::function<void(RouteStatus)> reject;
+    Callback done;
   };
 
-  /// Stamps \p job's trace id and admission span and queues it on
-  /// \p shard; a full queue answers it inline with a rejection.  Every
-  /// submit path ends here.
-  void admit(Job& job, std::chrono::steady_clock::time_point now,
-             std::string shard);
+  /// The three request families' admission: resolve what the request
+  /// names, fill \p job's header and bind its run and reject functions.
+  /// A fail-fast outcome answers inline and returns false.
+  bool prepare(Job& job, RouteRequest&& req);
+  bool prepare(Job& job, LoadRequest&& req);
+  bool prepare(Job& job, PinRequest&& req);
+  /// Stamps \p job's trace id and admission span and queues it on its
+  /// shard; a full queue answers it inline through its reject path.
+  void admit(Job& job);
   void worker_loop();
   void autosave_loop();
-  void run_route_job(Job& job, RouteResponse& resp);
-  /// Marks \p resp stopped — cancelled if the job's cancel token is set,
-  /// otherwise expired — and counts the outcome.
-  void mark_stopped(const Job& job, RouteResponse& resp);
-  void run_load_job(Job& job);
-  void run_stage_job(Job& job, RouteResponse& resp);
-  void run_pin_job(Job& job);
+  /// Answers \p job stopped — cancelled if its token is set, otherwise
+  /// expired — through its reject path.
+  void stop(Job& job, Response& resp);
+  void run_route(Job& job, RouteRequest& req, const LayoutSession& session,
+                 Response& resp);
+  void run_stage(Job& job, const RouteRequest& req,
+                 const LayoutSession& session, Response& resp);
+  void run_load(Job& job, LoadRequest& req, Response& resp);
+  /// PIN-derive: copy-on-pin of \p base's environment.
+  void derive_pin(const PinRequest& req,
+                  const std::shared_ptr<const LayoutSession>& base,
+                  Response& resp);
   /// A pin-handle op on its ticket turn: claim, UNPIN or a mutation.
-  void run_pin_op(Job& job, PinResponse& resp);
-  void save_pin(const PinnedSession& pin, const std::string& name,
-                PinResponse& resp);
+  void run_pin_op(const PinRequest& req,
+                  const std::shared_ptr<PinnedSession>& pin, Response& resp);
+  /// Snapshots \p pin to \p name under snapshot_dir; returns the failure
+  /// reason, empty on success, with the blob size in \p bytes.
+  std::string save_pin(const PinnedSession& pin, const std::string& name,
+                       std::uint64_t& bytes);
   void restore_pins(const std::string& dir);
-  void finish(Job& job, RouteResponse&& resp);
   /// Closes \p job's trace and records it into the latency histograms and
   /// the slow-request ring — the bookkeeping every finished job shares.
-  /// Returns the job's total latency.
-  std::chrono::microseconds record_completion(Job& job,
-                                              std::string_view status,
-                                              std::string session);
+  void record_completion(Job& job, RouteStatus status);
 
   Options opts_;
   SessionCache cache_;

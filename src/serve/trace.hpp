@@ -89,10 +89,6 @@ class Histogram {
     return s;
   }
 
-  [[nodiscard]] std::uint64_t total_recorded() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
@@ -181,9 +177,6 @@ class SlowRequestRing {
 
   /// Up to \p n records, slowest first.
   [[nodiscard]] std::vector<SlowRecord> top(std::size_t n) const;
-
-  [[nodiscard]] std::uint64_t threshold_us() const { return threshold_us_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   const std::size_t capacity_;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -203,6 +202,12 @@ serve::RouteRequest stage_request(const std::string& key,
   return req;
 }
 
+/// The stage's own meta: the reply meta after its `stage=` and `cached=`.
+std::string stage_meta(const serve::Response& resp) {
+  const std::size_t end = resp.meta.find(' ', resp.meta.find("cached="));
+  return end == std::string::npos ? "" : resp.meta.substr(end + 1);
+}
+
 TEST(ServiceStages, FreshSessionCommitsDefaultRouteThenHitsCache) {
   serve::RoutingService::Options opts;
   opts.workers = 1;
@@ -212,11 +217,11 @@ TEST(ServiceStages, FreshSessionCommitsDefaultRouteThenHitsCache) {
   EXPECT_EQ(session->routes.get(), nullptr);
 
   const std::size_t before = pipeline::stage_build_count();
-  const serve::RouteResponse first =
-      service.route(stage_request(session->key));
+  const serve::Response first =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(first.ok()) << first.error;
-  ASSERT_NE(first.stage, nullptr);
-  EXPECT_FALSE(first.stage_cached);
+  ASSERT_EQ(serve::meta_value(first.meta, "stage"), "detail");
+  EXPECT_EQ(serve::meta_value(first.meta, "cached"), "0");
   EXPECT_EQ(pipeline::stage_build_count(), before + 1);
 
   // The lazy commit is the deterministic default full sequential route.
@@ -227,32 +232,32 @@ TEST(ServiceStages, FreshSessionCommitsDefaultRouteThenHitsCache) {
   EXPECT_EQ(state->fingerprint, pipeline::fingerprint_routes(ref));
 
   // Repeated DETAIL: served from the cache, zero stage rebuilds.
-  const serve::RouteResponse second =
-      service.route(stage_request(session->key));
+  const serve::Response second =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second.stage_cached);
-  EXPECT_EQ(second.stage->body, first.stage->body);
-  EXPECT_EQ(second.stage->meta, first.stage->meta);
+  EXPECT_EQ(serve::meta_value(second.meta, "cached"), "1");
+  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(stage_meta(second), stage_meta(first));
   EXPECT_EQ(pipeline::stage_build_count(), before + 1);
-  EXPECT_EQ(service.stages().hits(), 1u);
+  EXPECT_EQ(service.snapshot().stage_cache_hits, 1u);
 
   // A full ROUTE re-committing identical geometry must keep hitting.
   serve::RouteRequest route;
   route.session_key = session->key;
-  ASSERT_TRUE(service.route(std::move(route)).ok());
-  const serve::RouteResponse third =
-      service.route(stage_request(session->key));
+  ASSERT_TRUE(service.call(std::move(route)).ok());
+  const serve::Response third =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(third.ok());
-  EXPECT_TRUE(third.stage_cached);
+  EXPECT_EQ(serve::meta_value(third.meta, "cached"), "1");
   EXPECT_EQ(pipeline::stage_build_count(), before + 1);
 
   // Different stage options are a different cache key.
   pipeline::StageOptions wide;
   wide.channel_window = 16;
-  const serve::RouteResponse fourth =
-      service.route(stage_request(session->key, wide));
+  const serve::Response fourth =
+      service.call(stage_request(session->key, wide));
   ASSERT_TRUE(fourth.ok());
-  EXPECT_FALSE(fourth.stage_cached);
+  EXPECT_EQ(serve::meta_value(fourth.meta, "cached"), "0");
   EXPECT_EQ(pipeline::stage_build_count(), before + 2);
 }
 
@@ -277,17 +282,17 @@ TEST(ServiceStages, RerouteInvalidatesCachedStages) {
   serve::RoutingService service(opts);
   const auto session = service.load(text);
 
-  const serve::RouteResponse first =
-      service.route(stage_request(session->key));
+  const serve::Response first =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.stage_cached);
+  EXPECT_EQ(serve::meta_value(first.meta, "cached"), "0");
 
   serve::RouteRequest rr;
   rr.session_key = session->key;
   rr.reroute = true;
   rr.opts.mode = route::NetlistMode::kSequential;
-  rr.net_names = {lay.nets()[0].name(), lay.nets()[1].name()};
-  const serve::RouteResponse rresp = service.route(std::move(rr));
+  rr.nets = {lay.nets()[0].name(), lay.nets()[1].name()};
+  const serve::Response rresp = service.call(std::move(rr));
   ASSERT_TRUE(rresp.ok()) << rresp.error;
   ASSERT_NE(session->routes.get(), nullptr);
   EXPECT_EQ(session->routes.get()->fingerprint,
@@ -295,10 +300,10 @@ TEST(ServiceStages, RerouteInvalidatesCachedStages) {
 
   // Same DETAIL options, new committed geometry: recompute, not a hit.
   const std::size_t before = pipeline::stage_build_count();
-  const serve::RouteResponse second =
-      service.route(stage_request(session->key));
+  const serve::Response second =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.stage_cached);
+  EXPECT_EQ(serve::meta_value(second.meta, "cached"), "0");
   EXPECT_EQ(pipeline::stage_build_count(), before + 1);
 }
 
@@ -312,27 +317,28 @@ TEST(ServiceStages, OptimizeRecommitsAndRekeys) {
   serve::RoutingService service(opts);
   const auto session = service.load(text);
 
-  const serve::RouteResponse first =
-      service.route(stage_request(session->key));
+  const serve::Response first =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(first.ok());
 
   serve::RouteRequest orq;
   orq.session_key = session->key;
   orq.optimize = true;
-  const serve::RouteResponse oresp = service.route(std::move(orq));
+  const serve::Response oresp = service.call(std::move(orq));
   ASSERT_TRUE(oresp.ok());
   const auto state = session->routes.get();
   ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->fingerprint, pipeline::fingerprint_routes(oresp.result));
+  EXPECT_EQ(state->fingerprint, pipeline::fingerprint_routes(
+                                    io::read_routes_string(oresp.body, lay)));
 
   // Re-keying is exact: the repeated stage hits iff OPTIMIZE reproduced
   // the original geometry bit-for-bit.
   const bool unchanged =
       state->fingerprint == pipeline::fingerprint_routes(full);
-  const serve::RouteResponse second =
-      service.route(stage_request(session->key));
+  const serve::Response second =
+      service.call(stage_request(session->key));
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.stage_cached, unchanged);
+  EXPECT_EQ(serve::meta_value(second.meta, "cached"), unchanged ? "1" : "0");
 }
 
 TEST(ServiceStages, StatsCountStagesAndGens) {
@@ -340,18 +346,14 @@ TEST(ServiceStages, StatsCountStagesAndGens) {
   opts.workers = 1;
   serve::RoutingService service(opts);
   const auto session = service.load(workload_text(9, 12, 7));
-  ASSERT_TRUE(service.route(stage_request(session->key)).ok());
-  ASSERT_TRUE(service.route(stage_request(session->key)).ok());
+  ASSERT_TRUE(service.call(stage_request(session->key)).ok());
+  ASSERT_TRUE(service.call(stage_request(session->key)).ok());
   // A real GEN through the service's LOAD/GEN job path, which counts it.
   const serve::GenCommand gen =
       serve::parse_gen_command("standard seed=5 cells=9 extent=512 nets=12");
   serve::LoadRequest req;
   req.synth = [gen] { return serve::generate_workload_text(gen); };
-  std::promise<serve::LoadResponse> done;
-  service.submit_load(std::move(req), [&done](serve::LoadResponse resp) {
-    done.set_value(std::move(resp));
-  });
-  ASSERT_TRUE(done.get_future().get().ok);
+  ASSERT_TRUE(service.call(std::move(req)).ok());
   const serve::MetricsSnapshot snap = service.snapshot();
   EXPECT_EQ(snap.stages_ok, 2u);
   EXPECT_EQ(snap.stages_failed, 0u);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -138,7 +139,6 @@ TEST(FairQueue, SaturationAndClose) {
   EXPECT_EQ(q.shards(), 2u);
 
   q.close();
-  EXPECT_TRUE(q.closed());
   EXPECT_FALSE(q.try_push("a", 4));  // closed: no admission
   EXPECT_NE(q.pop(), std::nullopt);  // but queued jobs drain
   EXPECT_NE(q.pop(), std::nullopt);
@@ -213,7 +213,7 @@ TEST(RoutingService, HotSessionCannotStarveIdleNeighbor) {
   std::vector<std::string> completions;
   std::condition_variable cv;
   const auto on_done = [&](const std::string& tag) {
-    return [&, tag](serve::RouteResponse resp) {
+    return [&, tag](serve::Response resp) {
       EXPECT_TRUE(resp.ok()) << resp.error;
       const std::lock_guard<std::mutex> lock(mu);
       completions.push_back(tag);
@@ -254,12 +254,15 @@ TEST(RoutingService, MatchesDirectRouterOnCachedSession) {
 
   serve::RouteRequest req;
   req.session_key = session->key;
-  const serve::RouteResponse resp = service.route(std::move(req));
+  const serve::Response resp = service.call(std::move(req));
   ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.result.total_wirelength, direct.total_wirelength);
-  EXPECT_EQ(resp.result.routed, direct.routed);
-  EXPECT_EQ(resp.result.failed, direct.failed);
-  EXPECT_GE(resp.latency.count(), resp.queue_wait.count());
+  const route::NetlistResult served = io::read_routes_string(resp.body, lay);
+  EXPECT_EQ(served.total_wirelength, direct.total_wirelength);
+  EXPECT_EQ(served.routed, direct.routed);
+  EXPECT_EQ(served.failed, direct.failed);
+  EXPECT_EQ(serve::meta_value(resp.meta, "wirelength"),
+            std::to_string(direct.total_wirelength));
+  EXPECT_GE(resp.trace.total_us, resp.trace.dequeue_us);
 }
 
 TEST(RoutingService, SequentialModeServedFromCachedSession) {
@@ -282,16 +285,20 @@ TEST(RoutingService, SequentialModeServedFromCachedSession) {
   serve::RouteRequest req;
   req.session_key = session->key;
   req.opts = seq;
-  const serve::RouteResponse resp = service.route(std::move(req));
+  const serve::Response resp = service.call(std::move(req));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(route::SearchEnvironment::build_count(), builds)
       << "a cached session must serve sequential mode without env builds";
-  EXPECT_EQ(resp.result.total_wirelength, direct.total_wirelength);
-  EXPECT_EQ(resp.result.routed, direct.routed);
-  EXPECT_EQ(resp.result.failed, direct.failed);
-  ASSERT_EQ(resp.result.routes.size(), direct.routes.size());
+  const route::NetlistResult served = io::read_routes_string(resp.body, lay);
+  EXPECT_EQ(served.total_wirelength, direct.total_wirelength);
+  EXPECT_EQ(served.routed, direct.routed);
+  EXPECT_EQ(served.failed, direct.failed);
+  ASSERT_EQ(served.routes.size(), direct.routes.size());
   for (std::size_t i = 0; i < direct.routes.size(); ++i) {
-    EXPECT_EQ(resp.result.routes[i].segments, direct.routes[i].segments)
+    // The dump carries a failed net's status only, not its partial wires.
+    EXPECT_EQ(served.routes[i].ok, direct.routes[i].ok) << "net " << i;
+    if (!direct.routes[i].ok) continue;
+    EXPECT_EQ(served.routes[i].segments, direct.routes[i].segments)
         << "net " << i;
   }
 }
@@ -305,10 +312,10 @@ TEST(RoutingService, ConcurrentRequestsShareOneSession) {
   const auto session = service.load(text);
   const std::size_t builds_after_load = route::SearchEnvironment::build_count();
 
-  const geom::Cost expected =
+  const std::string expected = std::to_string(
       route::NetlistRouter(session->layout, session->env)
           .route_all()
-          .total_wirelength;
+          .total_wirelength);
 
   constexpr std::size_t kClients = 8;
   constexpr std::size_t kPerClient = 4;
@@ -320,8 +327,9 @@ TEST(RoutingService, ConcurrentRequestsShareOneSession) {
       for (std::size_t i = 0; i < kPerClient; ++i) {
         serve::RouteRequest req;
         req.session_key = session->key;
-        const serve::RouteResponse resp = service.route(std::move(req));
-        if (!resp.ok() || resp.result.total_wirelength != expected) {
+        const serve::Response resp = service.call(std::move(req));
+        if (!resp.ok() ||
+            serve::meta_value(resp.meta, "wirelength") != expected) {
           mismatches.fetch_add(1);
         }
       }
@@ -342,7 +350,7 @@ TEST(RoutingService, UnknownSessionFailsFast) {
   serve::RoutingService service(opts);
   serve::RouteRequest req;
   req.session_key = "feedfacefeedface";
-  const serve::RouteResponse resp = service.route(std::move(req));
+  const serve::Response resp = service.call(std::move(req));
   EXPECT_EQ(resp.status, serve::RouteStatus::kSessionNotFound);
   const serve::MetricsSnapshot snap = service.snapshot();
   EXPECT_EQ(snap.requests_not_found, 1u);
@@ -358,9 +366,8 @@ TEST(RoutingService, ExpiredDeadlineIsDroppedAtDequeue) {
 
   serve::RouteRequest req;
   req.session_key = session->key;
-  req.deadline = std::chrono::steady_clock::now() -
-                 std::chrono::milliseconds(1);  // already expired
-  const serve::RouteResponse resp = service.route(std::move(req));
+  req.deadline = std::chrono::milliseconds(-1);  // already expired
+  const serve::Response resp = service.call(std::move(req));
   EXPECT_EQ(resp.status, serve::RouteStatus::kExpired);
   EXPECT_EQ(service.snapshot().requests_expired, 1u);
 }
@@ -375,7 +382,7 @@ TEST(RoutingService, CancelledRequestNeverRoutes) {
   serve::RouteRequest req;
   req.session_key = session->key;
   req.cancel = std::make_shared<std::atomic<bool>>(true);
-  const serve::RouteResponse resp = service.route(std::move(req));
+  const serve::Response resp = service.call(std::move(req));
   EXPECT_EQ(resp.status, serve::RouteStatus::kCancelled);
   EXPECT_EQ(service.snapshot().nets_routed, 0u);
 }
@@ -848,17 +855,25 @@ TEST(RoutingService, OptimizeRequestCountsMetrics) {
   serve::RoutingService service(opts);
   const auto session = service.load(text);
 
+  // The progress hook sees what a client reads as PASS lines.
+  std::vector<route::OptimizePassStats> passes;
   serve::RouteRequest req;
   req.session_key = session->key;
   req.optimize = true;
-  const serve::RouteResponse resp = service.route(std::move(req));
+  req.progress = [&passes](const route::OptimizePassStats& p) {
+    passes.push_back(p);
+  };
+  const serve::Response resp = service.call(std::move(req));
   ASSERT_TRUE(resp.ok());
-  ASSERT_FALSE(resp.passes.empty());
-  EXPECT_EQ(resp.result.total_wirelength, resp.passes.back().wirelength);
+  ASSERT_FALSE(passes.empty());
+  EXPECT_EQ(serve::meta_value(resp.meta, "passes"),
+            std::to_string(passes.size()));
+  EXPECT_EQ(serve::meta_value(resp.meta, "wirelength"),
+            std::to_string(passes.back().wirelength));
 
   const serve::MetricsSnapshot snap = service.snapshot();
   EXPECT_EQ(snap.optimizes_ok, 1u);
-  EXPECT_EQ(snap.optimize_passes, resp.passes.size() - 1);
+  EXPECT_EQ(snap.optimize_passes, passes.size() - 1);
   EXPECT_NE(snap.to_text().find("optimizes_ok 1"), std::string::npos);
 }
 
@@ -896,8 +911,8 @@ TEST(Histogram, RecordAndPercentiles) {
   // bucket's upper bound, p99 the slow one's.
   for (int i = 0; i < 90; ++i) h.record(100);
   for (int i = 0; i < 10; ++i) h.record(100'000);
-  EXPECT_EQ(h.total_recorded(), 100u);
   const serve::Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 100u);
   EXPECT_EQ(s.percentile(50),
             serve::Histogram::bucket_upper(serve::Histogram::bucket_index(100)));
   EXPECT_EQ(s.percentile(99), serve::Histogram::bucket_upper(
@@ -985,7 +1000,7 @@ TEST(RoutingService, TraceSpansMonotoneAndSumToTotal) {
   req.session_key = session->key;
   req.trace = true;
   req.received = std::chrono::steady_clock::now();
-  const serve::RouteResponse resp = service.route(std::move(req));
+  const serve::Response resp = service.call(std::move(req));
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp.traced);
   const serve::RequestTrace& t = resp.trace;
@@ -995,7 +1010,9 @@ TEST(RoutingService, TraceSpansMonotoneAndSumToTotal) {
   EXPECT_LE(t.env_us, t.exec_us);
   EXPECT_LE(t.exec_us, t.total_us);
   // ...and the rendered deltas telescope to exactly the reported latency.
-  EXPECT_EQ(t.total_us, static_cast<std::uint64_t>(resp.latency.count()));
+  EXPECT_NE(serve::format_response(resp).find(
+                " total_us=" + std::to_string(t.total_us) + " "),
+            std::string::npos);
   const std::string meta = t.render_meta();
   EXPECT_NE(meta.find("span_admit_us="), std::string::npos);
   EXPECT_NE(meta.find("span_parse_us="), std::string::npos);
@@ -1005,7 +1022,7 @@ TEST(RoutingService, TraceSpansMonotoneAndSumToTotal) {
   serve::RouteRequest missing;
   missing.session_key = "feedfacefeedface";
   missing.trace = true;
-  const serve::RouteResponse fail = service.route(std::move(missing));
+  const serve::Response fail = service.call(std::move(missing));
   EXPECT_EQ(fail.status, serve::RouteStatus::kSessionNotFound);
   EXPECT_LE(fail.trace.enqueue_us, fail.trace.dequeue_us);
   EXPECT_LE(fail.trace.dequeue_us, fail.trace.env_us);
@@ -1122,8 +1139,7 @@ TEST(Protocol, StatsCarriesVerbShardsUptimeAndVersion) {
   EXPECT_NE(stats.body.find("verb_stats_count 1"), std::string::npos);
   EXPECT_NE(stats.body.find("uptime_s "), std::string::npos);
   EXPECT_NE(stats.body.find("protocol_version 2"), std::string::npos);
-  // ROUTE's latency shows up in both the global histogram and its shard.
-  EXPECT_NE(stats.body.find("latency_p50_us "), std::string::npos);
+  // ROUTE's latency shows up in its verb shard.
   EXPECT_NE(stats.body.find("verb_route_p50_us "), std::string::npos);
   // Every key, in order, is the committed metrics contract.
   EXPECT_EQ(test::stats_keys(stats.body),
@@ -1166,8 +1182,7 @@ TEST(RoutingService, CounterConservationUnderConcurrentMixedBurst) {
             break;
           case 2:  // expired at dequeue
             req.session_key = session->key;
-            req.deadline = std::chrono::steady_clock::now() -
-                           std::chrono::milliseconds(1);
+            req.deadline = std::chrono::milliseconds(-1);
             break;
           case 3:  // cancelled (disconnect): token pre-flipped
             req.session_key = session->key;
@@ -1175,10 +1190,10 @@ TEST(RoutingService, CounterConservationUnderConcurrentMixedBurst) {
             break;
           case 4:  // errored at admission: unknown net
             req.session_key = session->key;
-            req.net_names = {"no_such_net"};
+            req.nets = {"no_such_net"};
             break;
         }
-        (void)service.route(std::move(req));
+        (void)service.call(std::move(req));
       }
     });
   }
@@ -1199,6 +1214,103 @@ TEST(RoutingService, CounterConservationUnderConcurrentMixedBurst) {
   EXPECT_GE(snap.requests_cancelled, 1u);
   EXPECT_GE(snap.requests_errored, 1u);
   EXPECT_GE(snap.requests_ok, 1u);
+}
+
+TEST(RoutingService, QueueFullRejectsEveryJobKindAndReleasesPinTicket) {
+  // One worker, one queue slot.  The worker is parked inside an OPTIMIZE
+  // progress hook (it fires after pass 1) and a filler ROUTE takes the only
+  // slot, so every later submission meets a full queue: each kind must
+  // answer `rejected` inline and count its own failure.  A rejected pin op
+  // must hand its ticket back, or every later op on that pin would wait
+  // forever for it.
+  const std::string text = workload_text(9, 12, 7);
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  opts.queue_capacity = 1;
+  serve::RoutingService service(opts);
+  const auto session = service.load(text);
+  const auto owner = std::make_shared<std::atomic<bool>>(false);
+
+  serve::PinRequest derive;
+  derive.op = serve::PinRequest::Op::kPin;
+  derive.key = session->key;
+  derive.owner = owner;
+  const serve::PinResponse pinned = service.pin_op(std::move(derive));
+  ASSERT_TRUE(pinned.ok()) << pinned.error;
+  const std::string net = session->layout.nets().front().name();
+
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::atomic<bool> first_pass{true};
+  std::promise<serve::Response> optimized;
+  serve::RouteRequest opt;
+  opt.session_key = session->key;
+  opt.optimize = true;
+  opt.progress = [&](const route::OptimizePassStats&) {
+    if (!first_pass.exchange(false)) return;
+    parked.set_value();
+    latch.wait();
+  };
+  service.submit(std::move(opt), [&](serve::Response r) {
+    optimized.set_value(std::move(r));
+  });
+  parked.get_future().wait();
+
+  std::promise<serve::Response> filled;
+  serve::RouteRequest filler;
+  filler.session_key = session->key;
+  service.submit(std::move(filler), [&](serve::Response r) {
+    filled.set_value(std::move(r));
+  });
+
+  const serve::MetricsSnapshot before = service.snapshot();
+  std::vector<std::string> answers;  // filled inline, on this thread
+  const auto record = [&answers](serve::Response r) {
+    answers.push_back(serve::format_response(r));
+  };
+
+  serve::PinRequest commit;
+  commit.op = serve::PinRequest::Op::kCommit;
+  commit.key = pinned.handle;
+  commit.nets = {net};
+  commit.owner = owner;
+  service.submit(std::move(commit), record);
+
+  const std::string cold = workload_text(9, 12, 8);
+  serve::LoadRequest load;
+  load.text = cold;
+  load.key = serve::SessionCache::content_key(cold);
+  service.submit(std::move(load), record);
+
+  const serve::GenCommand gen =
+      serve::parse_gen_command("standard seed=5 cells=9 extent=512 nets=12");
+  serve::LoadRequest synth;
+  synth.synth = [gen] { return serve::generate_workload_text(gen); };
+  service.submit(std::move(synth), record);
+
+  serve::RouteRequest route;
+  route.session_key = session->key;
+  service.submit(std::move(route), record);
+
+  EXPECT_EQ(answers, std::vector<std::string>(4, "ERR rejected\n"));
+  const serve::MetricsSnapshot after = service.snapshot();
+  EXPECT_EQ(after.requests_rejected - before.requests_rejected, 1u);
+  EXPECT_EQ(after.pin_ops_failed - before.pin_ops_failed, 1u);
+  EXPECT_EQ(after.loads_failed - before.loads_failed, 2u);
+  EXPECT_EQ(after.gens_failed - before.gens_failed, 1u);
+
+  release.set_value();
+  EXPECT_TRUE(optimized.get_future().get().ok());
+  EXPECT_TRUE(filled.get_future().get().ok());
+
+  serve::PinRequest again;
+  again.op = serve::PinRequest::Op::kCommit;
+  again.key = pinned.handle;
+  again.nets = {net};
+  again.owner = owner;
+  const serve::PinResponse committed = service.pin_op(std::move(again));
+  EXPECT_TRUE(committed.ok()) << committed.error;
 }
 
 }  // namespace

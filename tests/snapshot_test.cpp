@@ -454,7 +454,7 @@ TEST(PinRegistry, DroppedConnectionCannotDeriveOrClaim) {
   derive.owner = dead;
   const serve::PinResponse derived = service.pin_op(std::move(derive));
   EXPECT_EQ(derived.status, serve::RouteStatus::kCancelled);
-  EXPECT_EQ(derived.error, "connection closed");
+  EXPECT_EQ(derived.error, "cancelled: connection closed");
   EXPECT_EQ(service.snapshot().pins_active, 0u);
 
   // An unowned pin (as after a restore or a draining disconnect) stays
@@ -474,7 +474,7 @@ TEST(PinRegistry, DroppedConnectionCannotDeriveOrClaim) {
   dead_claim.owner = dead;
   const serve::PinResponse refused = service.pin_op(std::move(dead_claim));
   EXPECT_EQ(refused.status, serve::RouteStatus::kCancelled);
-  EXPECT_EQ(refused.error, "connection closed");
+  EXPECT_EQ(refused.error, "cancelled: connection closed");
 
   serve::PinRequest live_claim;
   live_claim.op = serve::PinRequest::Op::kPin;
@@ -553,9 +553,9 @@ TEST(FinalSave, RidesTicketChainSoInFlightMutationsLandInSnapshot) {
   commit.owner = owner;
   std::atomic<bool> commit_done{false};
   std::atomic<std::size_t> commit_routed{0};
-  service.submit_pin(std::move(commit), [&](serve::PinResponse resp) {
+  service.submit(std::move(commit), [&](serve::Response resp) {
     EXPECT_TRUE(resp.ok()) << resp.error;
-    commit_routed.store(resp.routed);
+    commit_routed.store(std::stoul(serve::meta_value(resp.meta, "routed")));
     commit_done.store(true);
   });
 
