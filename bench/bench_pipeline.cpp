@@ -28,6 +28,7 @@
 #include "bench_util.hpp"
 #include "core/netlist_router.hpp"
 #include "core/search_environment.hpp"
+#include "io/fnv1a.hpp"
 #include "pipeline/route_state.hpp"
 #include "pipeline/stage.hpp"
 #include "pipeline/stage_cache.hpp"
@@ -63,14 +64,6 @@ struct Session {
         routes_fp(pipeline::fingerprint_routes(routes)) {}
 };
 
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 pipeline::StageResult run_kind(const Session& s, pipeline::StageKind kind) {
   pipeline::StageOptions opts;
   opts.kind = kind;
@@ -102,7 +95,7 @@ SeedRow run_seed(std::uint64_t seed) {
   for (const pipeline::StageKind kind : kKinds) {
     const pipeline::StageResult res = run_kind(s, kind);
     row.stages.push_back(
-        {kind, res.body.size(), fnv1a(res.body, fnv1a(res.meta))});
+        {kind, res.body.size(), io::fnv1a(res.body, io::fnv1a(res.meta))});
   }
   return row;
 }

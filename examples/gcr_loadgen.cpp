@@ -40,9 +40,11 @@
 //   p99-vs-offered-load curve (--curve-out FILE archives it as JSON).
 //
 //   --restart-dir DIR: restart-under-load smoke over TCP — PIN a session,
-//   COMMIT every net, SAVE into DIR, SIGINT-drain the server, restart it
-//   with --restore-dir DIR, claim the same handle, and verify the
-//   rehydrated pin answers the same REROUTE byte-identically.
+//   COMMIT every net, SAVE into DIR, pin and commit a second handle on a
+//   connection left open, SIGINT-drain the server (its final save writes
+//   the second pin), restart it with --restore-dir DIR, claim both handles,
+//   and verify the first answers the same REROUTE byte-identically and the
+//   second holds the same commits.
 //
 //   $ gcr_loadgen --server ./example_gcr_serve --requests 8 --gen
 //   $ gcr_loadgen --server ./example_gcr_serve --transport tcp --clients 16
@@ -1123,10 +1125,13 @@ int run_open_loop(const Config& cfg, const std::string& layout_text) {
 /// server restart.  Server 1 (--snapshot-dir) serves HELLO + LOAD + PIN +
 /// COMMIT + SAVE; the reference REROUTE answer is recorded *after* the
 /// SAVE, so the snapshot captures exactly the pre-REROUTE state that
-/// answer was computed from.  Server 1 is then SIGINT-drained and server 2
-/// starts with --restore-dir: claiming the same handle and repeating the
-/// REROUTE must reproduce the recorded body byte-for-byte (timing meta
-/// excluded — only routed/failed/wirelength and the dump are compared).
+/// answer was computed from.  A second connection pins and commits a
+/// second handle and stays open across the SIGINT, so only the drain-time
+/// final save can persist it.  Server 2 starts with --restore-dir:
+/// claiming the first handle and repeating the REROUTE must reproduce the
+/// recorded body byte-for-byte (timing meta excluded — only
+/// routed/failed/wirelength and the dump are compared), and claiming the
+/// second must report the same commit count.
 int run_restart(const Config& cfg, const std::string& layout_text,
                 const layout::Layout& lay) {
   if (lay.nets().size() < 2) {
@@ -1151,6 +1156,8 @@ int run_restart(const Config& cfg, const std::string& layout_text,
   std::string want_body;
   long long want_routed = -1, want_failed = -1, want_wirelength = -1;
   long long committed_at_save = -1;
+  std::string held_handle;  // the pin only the final save persists
+  long long held_committed = -1;
 
   // ---- phase 1: pin, commit, save, record the reference answer, drain.
   {
@@ -1216,6 +1223,21 @@ int run_restart(const Config& cfg, const std::string& layout_text,
       }
       transact(out, in, "QUIT");
     }
+    // Open until after the drain: the pin is still owned when SIGINT lands.
+    const net::ScopedFd held_sock = net::tcp_connect(server.port);
+    serve::FdTransport held(held_sock.get());
+    const Reply loaded = transact(held.out(), held.in(),
+                                  "LOAD " + std::to_string(layout_text.size()),
+                                  layout_text);
+    const Reply pinned = transact(
+        held.out(), held.in(), "PIN " + meta_token(loaded.meta, "session"));
+    held_handle = meta_token(pinned.meta, "pin");
+    const Reply committed = transact(held.out(), held.in(),
+                                     "COMMIT " + held_handle + " nets=" + rip);
+    if (!loaded.ok || !pinned.ok || !committed.ok) {
+      fail("second pin: " + loaded.error + pinned.error + committed.error);
+    }
+    held_committed = meta_value(committed.meta, "committed");
     if (!drain_server(server.pid)) fail("server 1 did not drain cleanly");
   }
   if (failures > 0 || handle.empty()) return 1;
@@ -1255,14 +1277,22 @@ int run_restart(const Config& cfg, const std::string& layout_text,
           fail("restored REROUTE counters differ (" + rr.meta + ")");
         }
       }
+      const Reply held = transact(out, in, "PIN " + held_handle);
+      if (!held.ok) {
+        fail("PIN (final save of " + held_handle + "): " + held.error);
+      } else if (meta_value(held.meta, "committed") != held_committed) {
+        fail("final-saved pin committed-count mismatch (" + held.meta + ")");
+      }
       transact(out, in, "QUIT");
     }
     if (!drain_server(server.pid)) fail("server 2 did not drain cleanly");
   }
   if (failures == 0) {
     std::printf("restart smoke: pinned session survived restart, "
-                "REROUTE byte-identical (%lld routed, wirelength %lld)\n",
-                want_routed, want_wirelength);
+                "REROUTE byte-identical (%lld routed, wirelength %lld); "
+                "final save kept %s (%lld committed)\n",
+                want_routed, want_wirelength, held_handle.c_str(),
+                held_committed);
   }
   return failures == 0 ? 0 : 1;
 }

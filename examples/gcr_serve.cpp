@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
       // Only now — the loop quiesced, every in-flight pinned-session
       // mutation finished or cancelled — write the final snapshots.
       if (!opts.snapshot_dir.empty()) {
-        const std::size_t saved = service.final_save_pins();
+        const std::size_t saved = service.save_pins();
         if (saved > 0) {
           std::fprintf(stderr, "gcr_serve: final save: %zu pin(s)\n", saved);
         }

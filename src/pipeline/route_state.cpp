@@ -3,42 +3,25 @@
 #include <cstdint>
 #include <utility>
 
+#include "io/fnv1a.hpp"
+
 namespace gcr::pipeline {
 
-namespace {
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a byte-wise over the value's 8 little-endian bytes.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ull;  // FNV-1a prime
-  }
-}
-
-}  // namespace
-
 std::string fingerprint_routes(const route::NetlistResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  mix(h, r.routes.size());
+  using io::fnv1a_u64;
+  std::uint64_t h = fnv1a_u64(r.routes.size(), io::kFnv1aBasis);
   for (const route::NetRoute& nr : r.routes) {
-    mix(h, nr.ok ? 1 : 0);
-    mix(h, static_cast<std::uint64_t>(nr.wirelength));
-    mix(h, nr.segments.size());
+    h = fnv1a_u64(nr.ok ? 1 : 0, h);
+    h = fnv1a_u64(static_cast<std::uint64_t>(nr.wirelength), h);
+    h = fnv1a_u64(nr.segments.size(), h);
     for (const geom::Segment& s : nr.segments) {
-      mix(h, static_cast<std::uint64_t>(s.a.x));
-      mix(h, static_cast<std::uint64_t>(s.a.y));
-      mix(h, static_cast<std::uint64_t>(s.b.x));
-      mix(h, static_cast<std::uint64_t>(s.b.y));
+      h = fnv1a_u64(static_cast<std::uint64_t>(s.a.x), h);
+      h = fnv1a_u64(static_cast<std::uint64_t>(s.a.y), h);
+      h = fnv1a_u64(static_cast<std::uint64_t>(s.b.x), h);
+      h = fnv1a_u64(static_cast<std::uint64_t>(s.b.y), h);
     }
   }
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = hex[h & 0xf];
-    h >>= 4;
-  }
-  buf[16] = '\0';
-  return std::string(buf, 16);
+  return io::hex16(h);
 }
 
 std::shared_ptr<const CommittedRoutes> RouteStateSlot::get() const {

@@ -3,27 +3,24 @@
 #include <stdexcept>
 #include <utility>
 
+#include "io/fnv1a.hpp"
 #include "io/text_format.hpp"
 
 namespace gcr::serve {
 
+NetIndex build_net_index(const layout::Layout& lay) {
+  NetIndex index;
+  for (std::size_t i = 0; i < lay.nets().size(); ++i) {
+    index.emplace(lay.nets()[i].name(), i);
+  }
+  return index;
+}
+
 std::string SessionCache::content_key(const std::string& text) {
-  // FNV-1a, 64-bit.  Not cryptographic — the cache key is a handle, not a
-  // security boundary; a colliding upload would at worst route against the
-  // earlier layout, and the protocol echoes cell/net counts so a client can
-  // notice.
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ull;  // FNV-1a prime
-  }
-  static const char* hex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = hex[h & 0xf];
-    h >>= 4;
-  }
-  return out;
+  // Not cryptographic — the cache key is a handle, not a security
+  // boundary; a colliding upload would at worst route against the earlier
+  // layout, and the protocol echoes cell/net counts so a client can notice.
+  return io::hex16(io::fnv1a(text));
 }
 
 std::shared_ptr<const LayoutSession> SessionCache::load(

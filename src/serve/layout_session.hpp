@@ -27,6 +27,13 @@
 
 namespace gcr::serve {
 
+/// Net name -> net index.  Duplicate names keep the first index (matching
+/// read_routes lookup).
+using NetIndex = std::map<std::string, std::size_t>;
+
+/// The name index of \p lay's netlist.
+[[nodiscard]] NetIndex build_net_index(const layout::Layout& lay);
+
 /// Immutable once constructed; shared across worker threads by shared_ptr.
 /// The environment serves independent-mode requests by reference and
 /// sequential-mode requests by copy (the router clones it and commits wire
@@ -35,10 +42,10 @@ struct LayoutSession {
   std::string key;             ///< content hash, 16 hex digits
   layout::Layout layout;       ///< parsed, validated problem
   route::SearchEnvironment env;  ///< obstacle index + escape lines
-  /// Net name -> net index, built once so subset requests (`ROUTE ...
-  /// nets=a,b`) resolve names without scanning the netlist per request.
-  /// Duplicate names keep the first index (matching read_routes lookup).
-  std::map<std::string, std::size_t> net_index;
+  /// Built once so subset requests (`ROUTE ... nets=a,b`) resolve names
+  /// without scanning the netlist per request; pins derived from this
+  /// session share it.
+  NetIndex net_index;
   /// The committed global routes pipeline stages consume — the one mutable
   /// slot of the otherwise-immutable session.  A full ROUTE, REROUTE, or
   /// OPTIMIZE publishes its result here; the snapshot's content fingerprint
@@ -47,11 +54,10 @@ struct LayoutSession {
   mutable pipeline::RouteStateSlot routes;
 
   LayoutSession(std::string k, layout::Layout lay)
-      : key(std::move(k)), layout(std::move(lay)), env(layout) {
-    for (std::size_t i = 0; i < layout.nets().size(); ++i) {
-      net_index.emplace(layout.nets()[i].name(), i);
-    }
-  }
+      : key(std::move(k)),
+        layout(std::move(lay)),
+        env(layout),
+        net_index(build_net_index(layout)) {}
 };
 
 /// Thread-safe LRU cache of layout sessions.

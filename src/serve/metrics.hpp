@@ -148,8 +148,8 @@ void render_counters(std::ostream& os, std::string_view prefix,
   X(pin_ops_ok)                                                            \
   X(pin_ops_failed)                                                        \
   X(pin_saves)                                                             \
-  /* Snapshots written by the periodic background sweep and the shutdown   \
-     final SAVE (--snapshot-interval-s), as opposed to explicit SAVEs. */  \
+  /* Snapshots written by the save sweep (every --snapshot-interval-s and \
+     at the drain); pin_saves counts these and explicit SAVEs alike. */    \
   X(pin_autosaves)
 
 GCR_COUNTER_TABLE(ServiceCounters, GCR_SERVICE_COUNTERS)

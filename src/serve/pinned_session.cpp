@@ -81,19 +81,21 @@ bool owner_closed(const PinRegistry::Owner& owner) {
 }  // namespace
 
 std::shared_ptr<PinnedSession> PinRegistry::create(
-    const std::string& base_key, std::shared_ptr<const layout::Layout> layout,
-    const route::SearchEnvironment& base_env, const Owner& owner) {
-  // Copy-on-pin happens outside the lock: duplicating the environment's
-  // vectors is the expensive part and needs no registry state.
+    const std::shared_ptr<const LayoutSession>& base, const Owner& owner) {
+  // Copy-on-pin outside the lock: duplicating the environment's vectors is
+  // the expensive part and needs no registry state.  The handle is minted
+  // under the lock, before the pin becomes visible to anyone else.
+  auto pin = std::make_shared<PinnedSession>(
+      std::string(), base->key,
+      std::shared_ptr<const layout::Layout>(base, &base->layout),
+      std::shared_ptr<const NetIndex>(base, &base->net_index), base->env);
   const std::lock_guard<std::mutex> lock(mu_);
   // The flag flips before release_owner takes this mutex, so a closed
   // owner is seen here or its pin is seen there: never neither.
   if (owner_closed(owner)) return nullptr;
-  const std::string handle = format_handle(next_handle_++);
-  auto pin = std::make_shared<PinnedSession>(handle, base_key,
-                                             std::move(layout), base_env);
+  pin->handle = format_handle(next_handle_++);
   pin->owner = owner;
-  pins_.emplace(handle, pin);
+  pins_.emplace(pin->handle, pin);
   return pin;
 }
 

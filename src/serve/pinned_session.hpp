@@ -14,6 +14,7 @@
 #include "core/route_types.hpp"
 #include "core/search_environment.hpp"
 #include "layout/layout.hpp"
+#include "serve/layout_session.hpp"
 
 /// \file pinned_session.hpp
 /// Mutable derived sessions — the serving layer's session *lifecycle*.
@@ -41,17 +42,17 @@ namespace gcr::serve {
 
 /// One pinned (exclusively owned, mutable) derived session.
 ///
-/// The layout is shared with the base session (aliasing pointer) or owned
-/// outright after a restore; `env` and `routes` are private to the pin.
+/// The layout and net-name index are shared with the base session
+/// (aliasing pointers) or owned outright after a restore; `env` and
+/// `routes` are private to the pin.
 /// Mutating members is only safe from the worker holding the pin's current
 /// ticket; `owner` is guarded by the PinRegistry mutex.
 struct PinnedSession {
   std::string handle;    ///< "pin-" + 16 hex digits, or the restored name
   std::string base_key;  ///< content key of the session it derived from
   std::shared_ptr<const layout::Layout> layout;
-  /// Net name -> net index (copied from the base session or rebuilt on
-  /// restore), so COMMIT/UNCOMMIT/REROUTE resolve names without scans.
-  std::map<std::string, std::size_t> net_index;
+  /// So COMMIT/UNCOMMIT/REROUTE resolve names without scans.
+  std::shared_ptr<const NetIndex> net_index;
   route::SearchEnvironment env;
   /// Per-net results of committed attempts, keyed by net id.  An `ok`
   /// entry has its wire halos committed into `env`; a failed entry is
@@ -65,15 +66,13 @@ struct PinnedSession {
 
   PinnedSession(std::string h, std::string base,
                 std::shared_ptr<const layout::Layout> lay,
+                std::shared_ptr<const NetIndex> names,
                 route::SearchEnvironment e)
       : handle(std::move(h)),
         base_key(std::move(base)),
         layout(std::move(lay)),
-        env(std::move(e)) {
-    for (std::size_t i = 0; i < layout->nets().size(); ++i) {
-      net_index.emplace(layout->nets()[i].name(), i);
-    }
-  }
+        net_index(std::move(names)),
+        env(std::move(e)) {}
 
   /// FIFO op ordering (see file comment).  acquire_ticket on the admission
   /// thread; the worker brackets the op with wait_turn/finish_turn; a job
@@ -100,14 +99,14 @@ class PinRegistry {
  public:
   using Owner = std::shared_ptr<std::atomic<bool>>;
 
-  /// Derives a new pin and registers it owned by \p owner.  The handle is
+  /// Derives a new pin from \p base — a copy of its environment, sharing
+  /// its layout and net-name index — and registers it owned by \p owner.
+  /// The copy happens before the registry lock is taken.  The handle is
   /// generated ("pin-" + 16 hex digits of a per-registry counter).  Returns
   /// nullptr, registering nothing, when \p owner's closed flag is set: its
   /// connection is gone and release_owner has already run or is about to.
   std::shared_ptr<PinnedSession> create(
-      const std::string& base_key,
-      std::shared_ptr<const layout::Layout> layout,
-      const route::SearchEnvironment& base_env, const Owner& owner);
+      const std::shared_ptr<const LayoutSession>& base, const Owner& owner);
 
   /// Registers a restored pin (unowned) under its snapshotted handle.
   /// Returns false when the handle is already taken (duplicate snapshot
@@ -140,8 +139,7 @@ class PinRegistry {
   /// just hung up.  Returns how many were released.
   std::size_t release_owner(const Owner& owner, bool preserve = false);
 
-  /// Every registered pin, in handle order — the enumeration the final
-  /// SAVE and the periodic autosave sweep over.
+  /// Every registered pin, in handle order — what the save sweep walks.
   [[nodiscard]] std::vector<std::shared_ptr<PinnedSession>> all() const;
 
   [[nodiscard]] std::size_t size() const;

@@ -1,23 +1,14 @@
 #include "serve/routing_service.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <iostream>
-#include <iterator>
-#include <map>
+#include <stdexcept>
 #include <utility>
 #include <variant>
 
 #include "core/steiner.hpp"
 #include "io/route_dump.hpp"
-#include "io/text_format.hpp"
 #include "pipeline/stage_runner.hpp"
 #include "serve/protocol.hpp"
 #include "serve/snapshot.hpp"
@@ -47,38 +38,10 @@ VerbKind classify_verb(const RouteRequest& req) {
   return VerbKind::kRoute;
 }
 
-/// fsync()s \p path opened with \p flags; empty on success, else the
-/// reason.
-std::string sync_path(const std::filesystem::path& path, int flags) {
-  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
-  if (fd < 0 || ::fsync(fd) != 0) {
-    const std::string reason = std::strerror(errno);
-    if (fd >= 0) ::close(fd);
-    return "cannot sync '" + path.string() + "': " + reason;
-  }
-  ::close(fd);
-  return {};
-}
-
-/// Writes \p blob to \p path and fsync()s it; empty on success, else the
-/// reason.
-std::string write_synced(const std::filesystem::path& path,
-                         const std::string& blob) {
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return "cannot write snapshot file '" + path.string() + "'";
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    out.flush();
-    if (!out) return "short write to snapshot file '" + path.string() + "'";
-  }
-  return sync_path(path, O_RDONLY);
-}
-
 /// Resolves \p names against a session's net-name index into net
 /// indices, in first-occurrence order with duplicates collapsed.  Returns
 /// the failure reason for an unknown name, empty on success.
-std::string resolve_nets(const std::map<std::string, std::size_t>& index,
-                         std::size_t net_count,
+std::string resolve_nets(const NetIndex& index, std::size_t net_count,
                          const std::vector<std::string>& names,
                          std::vector<std::size_t>& ids) {
   ids.clear();
@@ -142,7 +105,11 @@ RoutingService::RoutingService(const Options& opts)
       slow_ring_(opts.slow_ring_capacity, opts.slow_threshold_ms * 1000) {
   // Rehydrate snapshotted pins before the workers start, so restored
   // sessions are addressable from the very first request.
-  if (!opts_.restore_dir.empty()) restore_pins(opts_.restore_dir);
+  if (!opts_.restore_dir.empty()) {
+    metrics_.pins_restored.fetch_add(
+        restore_snapshots(opts_.restore_dir, pins_),
+        std::memory_order_relaxed);
+  }
   const std::size_t n = route::resolve_worker_count(opts.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -154,7 +121,8 @@ RoutingService::RoutingService(const Options& opts)
 }
 
 RoutingService::~RoutingService() {
-  // The autosaver submits into the queue; stop it before admission closes.
+  // A sweep may wait for a pin turn that a queued job holds: stop the
+  // autosaver while the workers still run.
   if (autosaver_.joinable()) {
     {
       const std::lock_guard<std::mutex> lock(autosave_mu_);
@@ -306,11 +274,9 @@ bool RoutingService::prepare(Job& job, PinRequest&& req) {
   } else if (pin == nullptr) {
     return fail_now(RouteStatus::kSessionNotFound,
                     "no pin '" + req.key + "'");
-  } else if (req.op != PinRequest::Op::kPin && !req.system &&
-             !pins_.verify(pin, req.owner)) {
+  } else if (req.op != PinRequest::Op::kPin && !pins_.verify(pin, req.owner)) {
     // Advisory ownership pre-check (claims excepted — claiming an unowned
-    // pin is the point; system sweeps too — the autosaver snapshots pins
-    // it does not own); re-checked authoritatively on the worker once this
+    // pin is the point); re-checked authoritatively on the worker once this
     // op's turn comes up.
     return fail_now(RouteStatus::kError, "pin '" + req.key +
                                              "' is owned by another "
@@ -353,7 +319,7 @@ void RoutingService::release_pins(
   }
 }
 
-std::size_t RoutingService::final_save_pins() {
+std::size_t RoutingService::save_pins() {
   if (opts_.snapshot_dir.empty()) return 0;
   std::size_t written = 0;
   for (const auto& pin : pins_.all()) {
@@ -363,16 +329,19 @@ std::size_t RoutingService::final_save_pins() {
     // serializes a committed state, never a half-applied op.
     const std::uint64_t ticket = pin->acquire_ticket();
     pin->wait_turn(ticket);
-    std::uint64_t bytes = 0;
-    const std::string error = save_pin(*pin, pin->handle, bytes);
-    pin->finish_turn(ticket);
-    if (error.empty()) {
-      ++written;
-      metrics_.pin_autosaves.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      std::cerr << "gcr_serve: final save of '" << pin->handle
-                << "' failed: " << error << "\n";
+    try {
+      // Released while the sweep waited (UNPIN, or a disconnect outside a
+      // drain): the pin is gone, and a file would bring it back on restore.
+      if (pins_.find(pin->handle) == pin) {
+        save_pin(*pin, pin->handle);
+        ++written;
+        metrics_.pin_autosaves.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "gcr_serve: save of '" << pin->handle
+                << "' failed: " << e.what() << "\n";
     }
+    pin->finish_turn(ticket);
   }
   return written;
 }
@@ -380,29 +349,10 @@ std::size_t RoutingService::final_save_pins() {
 void RoutingService::autosave_loop() {
   const auto interval = std::chrono::seconds(opts_.snapshot_interval_s);
   std::unique_lock<std::mutex> lock(autosave_mu_);
-  for (;;) {
-    if (autosave_cv_.wait_for(lock, interval,
-                              [&] { return autosave_stop_; })) {
-      return;
-    }
+  while (!autosave_cv_.wait_for(lock, interval,
+                                [&] { return autosave_stop_; })) {
     lock.unlock();
-    // Hot pins persist continuously: each registered pin gets a system
-    // SAVE job that rides its ticket chain like any client mutation, so
-    // the snapshot lands between ops, in submission order, without ever
-    // claiming the pin away from its owner.
-    for (const auto& pin : pins_.all()) {
-      PinRequest req;
-      req.op = PinRequest::Op::kSave;
-      req.key = pin->handle;
-      req.save_name = pin->handle;
-      req.owner = system_owner_;
-      req.system = true;
-      submit(std::move(req), [this](Response resp) {
-        if (resp.ok()) {
-          metrics_.pin_autosaves.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
+    save_pins();
     lock.lock();
   }
 }
@@ -567,13 +517,10 @@ void RoutingService::run_load(Job& job, LoadRequest& req, Response& resp) {
 void RoutingService::derive_pin(
     const PinRequest& req, const std::shared_ptr<const LayoutSession>& base,
     Response& resp) {
-  // Copy-on-pin of the cached environment.  The layout is shared with the
-  // base session via an aliasing pointer — the read-only entry is
+  // Copy-on-pin of the cached environment; the read-only entry is
   // untouched and stays cached.
   try {
-    std::shared_ptr<const layout::Layout> layout(base, &base->layout);
-    const std::shared_ptr<PinnedSession> pin =
-        pins_.create(base->key, std::move(layout), base->env, req.owner);
+    const std::shared_ptr<PinnedSession> pin = pins_.create(base, req.owner);
     if (pin == nullptr) {
       return resp.fail(RouteStatus::kCancelled, "connection closed");
     }
@@ -611,12 +558,9 @@ void RoutingService::run_pin_op(const PinRequest& req,
     }
     return;
   }
-  if (req.system ? pins_.find(pin.handle) != handle
-                 : !pins_.verify(handle, req.owner)) {
+  if (!pins_.verify(handle, req.owner)) {
     // The pin was released (disconnect or UNPIN racing ahead in another
-    // claim cycle) between admission and this turn.  System sweeps skip the
-    // ownership half of the check — the autosaver saves pins it does not
-    // own — but still bail if the pin left the registry.
+    // claim cycle) between admission and this turn.
     return resp.fail(RouteStatus::kCancelled, "pin released");
   }
   MetaBuilder meta;
@@ -633,11 +577,8 @@ void RoutingService::run_pin_op(const PinRequest& req,
   resp.timed = true;
   try {
     if (req.op == PinRequest::Op::kSave) {
-      std::uint64_t bytes = 0;
-      const std::string error = save_pin(pin, req.save_name, bytes);
-      if (!error.empty()) return resp.fail(RouteStatus::kError, error);
+      resp.meta = meta.add("bytes", save_pin(pin, req.save_name)).str();
       resp.status = RouteStatus::kOk;
-      resp.meta = meta.add("bytes", bytes).str();
       return;
     }
 
@@ -645,7 +586,7 @@ void RoutingService::run_pin_op(const PinRequest& req,
     // single mutation lands (atomic at the op level).
     std::vector<std::size_t> ids;
     const std::string error =
-        resolve_nets(pin.net_index, pin.layout->nets().size(), req.nets, ids);
+        resolve_nets(*pin.net_index, pin.layout->nets().size(), req.nets, ids);
     if (!error.empty()) return resp.fail(RouteStatus::kError, error);
 
     // COMMIT needs every listed net uncommitted, UNCOMMIT committed;
@@ -710,147 +651,15 @@ void RoutingService::run_pin_op(const PinRequest& req,
   }
 }
 
-std::string RoutingService::save_pin(const PinnedSession& pin,
-                                     const std::string& name,
-                                     std::uint64_t& bytes) {
+std::uint64_t RoutingService::save_pin(const PinnedSession& pin,
+                                       const std::string& name) {
   if (opts_.snapshot_dir.empty()) {
-    return "snapshots are disabled (start with --snapshot-dir)";
+    throw std::runtime_error(
+        "snapshots are disabled (start with --snapshot-dir)");
   }
-  if (name.empty() || name.front() == '.' ||
-      name.find('/') != std::string::npos ||
-      name.find('\\') != std::string::npos) {
-    return "SAVE name must be a plain file name";
-  }
-
-  // Encode the compacted live view: tombstones vanish, survivors are
-  // renumbered densely, and the line set / commit records follow the remap.
-  PinSnapshot snap;
-  snap.handle = pin.handle;
-  snap.base_key = pin.base_key;
-  snap.layout_text = io::write_layout_string(*pin.layout);
-  const spatial::ObstacleIndex& index = pin.env.index();
-  const std::vector<spatial::EscapeLine>& lines = pin.env.lines().lines();
-  if (lines.size() != 4 + 4 * index.size()) {
-    return "snapshot: line table out of step with the index";
-  }
-  snap.boundary = index.boundary();
-  snap.base_obstacles = index.live_size() - pin.env.committed();
-  std::vector<std::size_t> remap(index.size(), spatial::ObstacleIndex::npos);
-  snap.obstacles.reserve(index.live_size());
-  snap.lines.reserve(4 + 4 * index.live_size());
-  for (std::size_t k = 0; k < 4; ++k) {
-    spatial::EscapeLine l = lines[k];
-    l.dead = false;
-    snap.lines.push_back(l);
-  }
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    if (!index.alive(i)) continue;
-    remap[i] = snap.obstacles.size();
-    snap.obstacles.push_back(index.obstacles()[i]);
-    for (std::size_t k = 0; k < 4; ++k) {
-      spatial::EscapeLine l = lines[4 + 4 * i + k];
-      l.source = remap[i];
-      l.dead = false;
-      snap.lines.push_back(l);
-    }
-  }
-  for (const auto& [net, record] : pin.env.committed_records()) {
-    std::vector<std::size_t> renumbered;
-    renumbered.reserve(record.size());
-    for (const std::size_t slot : record) {
-      if (slot >= remap.size() || remap[slot] == spatial::ObstacleIndex::npos) {
-        return "snapshot: commit record references a dead obstacle";
-      }
-      renumbered.push_back(remap[slot]);
-    }
-    snap.committed.emplace(net, std::move(renumbered));
-  }
-  snap.routes = pin.routes;
-
-  const std::string blob = encode_snapshot(snap);
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path dir(opts_.snapshot_dir);
-  fs::create_directories(dir, ec);  // best effort; the open below reports
-  const fs::path tmp = dir / (name + ".tmp");
-  const fs::path final_path = dir / name;
-  // Durable atomic publish: the blob reaches the disk before the rename
-  // makes it visible, and the rename itself is synced through the
-  // directory — a crash leaves the old snapshot or the new one, never a
-  // renamed-but-empty file (a stray .tmp fails restore's decode).
-  std::string error = write_synced(tmp, blob);
-  if (error.empty()) {
-    fs::rename(tmp, final_path, ec);
-    if (ec) error = "cannot publish snapshot file: " + ec.message();
-  }
-  if (error.empty()) error = sync_path(dir, O_RDONLY | O_DIRECTORY);
-  if (!error.empty()) return error;
-  bytes = blob.size();
+  const std::uint64_t bytes = save_snapshot(opts_.snapshot_dir, name, pin);
   metrics_.pin_saves.fetch_add(1, std::memory_order_relaxed);
-  return {};
-}
-
-void RoutingService::restore_pins(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    std::cerr << "gcr_serve: cannot read restore dir '" << dir
-              << "': " << ec.message() << "\n";
-    return;
-  }
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string path = entry.path().string();
-    try {
-      std::ifstream in(entry.path(), std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open");
-      const std::string blob((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-      PinSnapshot snap = decode_snapshot(blob);
-
-      layout::Layout lay = io::read_layout_string(snap.layout_text);
-      const std::size_t n_nets = lay.nets().size();
-      for (const auto& [net, record] : snap.committed) {
-        if (net >= n_nets) {
-          throw std::runtime_error("snapshot: commit record for unknown net");
-        }
-      }
-      for (const auto& [net, r] : snap.routes) {
-        if (net >= n_nets) {
-          throw std::runtime_error("snapshot: route record for unknown net");
-        }
-      }
-
-      // Rebuild *lookup tables only* from the serialized live state: the
-      // ObstacleIndex ctor sorts/buckets the given rects and the line set
-      // re-sorts the given lines — no tracing, no environment build (the
-      // build counter stays untouched; tests assert it).
-      spatial::ObstacleIndex index(snap.boundary, snap.obstacles);
-      spatial::EscapeLineSet lines =
-          spatial::EscapeLineSet::restore(std::move(snap.lines));
-      route::SearchEnvironment env = route::SearchEnvironment::restore(
-          std::move(index), std::move(lines), snap.base_obstacles,
-          std::move(snap.committed));
-
-      auto pin = std::make_shared<PinnedSession>(
-          std::move(snap.handle), std::move(snap.base_key),
-          std::make_shared<const layout::Layout>(std::move(lay)),
-          std::move(env));
-      pin->routes = std::move(snap.routes);
-      if (pins_.adopt(std::move(pin))) {
-        metrics_.pins_restored.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::cerr << "gcr_serve: skipping snapshot '" << path
-                  << "': duplicate handle\n";
-      }
-    } catch (const std::exception& e) {
-      // Invalid-on-partial-read: the pin was never registered, so a corrupt
-      // file leaves the session absent rather than half-restored.
-      std::cerr << "gcr_serve: skipping snapshot '" << path
-                << "': " << e.what() << "\n";
-    }
-  }
+  return bytes;
 }
 
 void RoutingService::run_stage(Job& job, const RouteRequest& req,

@@ -162,10 +162,6 @@ struct PinRequest {
   /// Wire spacing halo for committed segments (COMMIT/REROUTE).
   geom::Coord wire_halo = 1;
   std::shared_ptr<std::atomic<bool>> owner;
-  /// Service-internal request (the periodic autosave sweep): bypasses the
-  /// ownership gate so an owned pin can be snapshotted without claiming
-  /// it.  Never set by the protocol parser — unreachable from the wire.
-  bool system = false;
 };
 
 /// A queued command: one request of each verb family.
@@ -233,11 +229,11 @@ class RoutingService {
     std::uint64_t slow_threshold_ms = 0;
     /// How many slow-request traces the TRACE verb can dump.
     std::size_t slow_ring_capacity = 32;
-    /// Background SAVE period for registered pins (the daemon's
-    /// --snapshot-interval-s): every interval, each pin gets a system SAVE
-    /// job riding its ticket chain, so a crash loses at most one
-    /// interval's mutations instead of everything since the last explicit
-    /// SAVE.  0 = disabled; requires snapshot_dir.
+    /// Background save period for registered pins (the daemon's
+    /// --snapshot-interval-s): every interval a sweeper thread runs
+    /// save_pins, so a crash loses at most one interval's mutations instead
+    /// of everything since the last explicit SAVE.  The sweep never enters
+    /// the job queue.  0 = disabled; requires snapshot_dir.
     std::size_t snapshot_interval_s = 0;
   };
 
@@ -274,18 +270,18 @@ class RoutingService {
   /// hook, called by every transport when a connection ends (the epoll
   /// loop from close_connection, serve_connection at exit).  With
   /// \p preserve (the event loop's drain path during shutdown) the pins
-  /// stay registered unowned instead of being destroyed, so
-  /// final_save_pins can still snapshot them.
+  /// stay registered unowned instead of being destroyed, so the final
+  /// save_pins can still snapshot them.
   void release_pins(const std::shared_ptr<std::atomic<bool>>& owner,
                     bool preserve = false);
 
-  /// Shutdown final SAVE: snapshots every registered pin to snapshot_dir
-  /// under its handle name, bracketing each save on the pin's ticket chain
-  /// — a mutation still in flight (or queued by a force-closed
-  /// connection) finishes before its pin serializes, never mid-op.  Call
-  /// after the front-end has drained; no-op without a snapshot_dir.
-  /// Returns how many snapshots were written.
-  std::size_t final_save_pins();
+  /// The save sweep, on the calling thread (the autosaver every
+  /// snapshot_interval_s, gcr_serve after its drain): writes each pin to
+  /// snapshot_dir/<handle> on its own ticket-chain turn, so an op in flight
+  /// or queued ahead finishes first, and skips a pin released before its
+  /// turn.  Counts pin_saves and pin_autosaves; logs failures to stderr.
+  /// No-op without a snapshot_dir.  Returns how many it wrote.
+  std::size_t save_pins();
 
   [[nodiscard]] PinRegistry& pins() noexcept { return pins_; }
 
@@ -377,11 +373,9 @@ class RoutingService {
   /// A pin-handle op on its ticket turn: claim, UNPIN or a mutation.
   void run_pin_op(const PinRequest& req,
                   const std::shared_ptr<PinnedSession>& pin, Response& resp);
-  /// Snapshots \p pin to \p name under snapshot_dir; returns the failure
-  /// reason, empty on success, with the blob size in \p bytes.
-  std::string save_pin(const PinnedSession& pin, const std::string& name,
-                       std::uint64_t& bytes);
-  void restore_pins(const std::string& dir);
+  /// Snapshots \p pin to \p name under snapshot_dir (SAVE and the sweep)
+  /// and returns the blob size; throws std::runtime_error with the reason.
+  std::uint64_t save_pin(const PinnedSession& pin, const std::string& name);
   /// Closes \p job's trace and records it into the latency histograms and
   /// the slow-request ring — the bookkeeping every finished job shares.
   void record_completion(Job& job, RouteStatus status);
@@ -397,10 +391,6 @@ class RoutingService {
   std::atomic<std::uint64_t> trace_ids_{0};
   mutable std::mutex extra_stats_mu_;
   std::function<std::string()> extra_stats_;
-  /// The autosave sweep's connection identity: submitted system SAVEs need
-  /// an owner token (never flipped — the service does not hang up).
-  std::shared_ptr<std::atomic<bool>> system_owner_ =
-      std::make_shared<std::atomic<bool>>(false);
   std::mutex autosave_mu_;
   std::condition_variable autosave_cv_;
   bool autosave_stop_ = false;

@@ -1,24 +1,26 @@
 #include "serve/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+
+#include "io/fnv1a.hpp"
+#include "io/text_format.hpp"
 
 namespace gcr::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
+namespace fs = std::filesystem;
 
 // ---- encoding ----------------------------------------------------------
 
@@ -122,6 +124,105 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+// ---- pins and files ----------------------------------------------------
+
+/// The compacted live view of \p pin: tombstones vanish, survivors are
+/// renumbered densely, and the line set and commit records follow the
+/// remap.
+PinSnapshot compact(const PinnedSession& pin) {
+  PinSnapshot snap;
+  snap.handle = pin.handle;
+  snap.base_key = pin.base_key;
+  snap.layout_text = io::write_layout_string(*pin.layout);
+  const spatial::ObstacleIndex& index = pin.env.index();
+  const std::vector<spatial::EscapeLine>& lines = pin.env.lines().lines();
+  if (lines.size() != 4 + 4 * index.size()) {
+    throw std::runtime_error("snapshot: line table out of step with the index");
+  }
+  snap.boundary = index.boundary();
+  snap.base_obstacles = index.live_size() - pin.env.committed();
+  std::vector<std::size_t> remap(index.size(), spatial::ObstacleIndex::npos);
+  snap.obstacles.reserve(index.live_size());
+  snap.lines.reserve(4 + 4 * index.live_size());
+  for (std::size_t k = 0; k < 4; ++k) {
+    spatial::EscapeLine l = lines[k];
+    l.dead = false;
+    snap.lines.push_back(l);
+  }
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (!index.alive(i)) continue;
+    remap[i] = snap.obstacles.size();
+    snap.obstacles.push_back(index.obstacles()[i]);
+    for (std::size_t k = 0; k < 4; ++k) {
+      spatial::EscapeLine l = lines[4 + 4 * i + k];
+      l.source = remap[i];
+      l.dead = false;
+      snap.lines.push_back(l);
+    }
+  }
+  for (const auto& [net, record] : pin.env.committed_records()) {
+    std::vector<std::size_t> renumbered;
+    renumbered.reserve(record.size());
+    for (const std::size_t slot : record) {
+      if (slot >= remap.size() || remap[slot] == spatial::ObstacleIndex::npos) {
+        throw std::runtime_error(
+            "snapshot: commit record references a dead obstacle");
+      }
+      renumbered.push_back(remap[slot]);
+    }
+    snap.committed.emplace(net, std::move(renumbered));
+  }
+  snap.routes = pin.routes;
+  return snap;
+}
+
+/// fsync()s \p path opened with \p flags; throws the reason on failure.
+void sync_path(const fs::path& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0 || ::fsync(fd) != 0) {
+    const std::string reason = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error("cannot sync '" + path.string() + "': " + reason);
+  }
+  ::close(fd);
+}
+
+/// Decodes \p blob into an unregistered, unowned pin.  Throws on any
+/// corruption, so a bad file never yields a half-restored session.
+std::shared_ptr<PinnedSession> restore_pin(const std::string& blob) {
+  PinSnapshot snap = decode_snapshot(blob);
+  auto lay = std::make_shared<const layout::Layout>(
+      io::read_layout_string(snap.layout_text));
+  const std::size_t n_nets = lay->nets().size();
+  for (const auto& [net, record] : snap.committed) {
+    if (net >= n_nets) {
+      throw std::runtime_error("snapshot: commit record for unknown net");
+    }
+  }
+  for (const auto& [net, r] : snap.routes) {
+    if (net >= n_nets) {
+      throw std::runtime_error("snapshot: route record for unknown net");
+    }
+  }
+
+  // Rebuild *lookup tables only* from the serialized live state: the
+  // ObstacleIndex ctor sorts/buckets the given rects and the line set
+  // re-sorts the given lines — no tracing, no environment build (the build
+  // counter stays untouched; tests assert it).
+  spatial::ObstacleIndex index(snap.boundary, snap.obstacles);
+  spatial::EscapeLineSet lines =
+      spatial::EscapeLineSet::restore(std::move(snap.lines));
+  route::SearchEnvironment env = route::SearchEnvironment::restore(
+      std::move(index), std::move(lines), snap.base_obstacles,
+      std::move(snap.committed));
+  auto names = std::make_shared<const NetIndex>(build_net_index(*lay));
+  auto pin = std::make_shared<PinnedSession>(
+      std::move(snap.handle), std::move(snap.base_key), std::move(lay),
+      std::move(names), std::move(env));
+  pin->routes = std::move(snap.routes);
+  return pin;
+}
+
 }  // namespace
 
 std::string encode_snapshot(const PinSnapshot& snap) {
@@ -164,7 +265,7 @@ std::string encode_snapshot(const PinSnapshot& snap) {
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
   put_u32(out, kSnapshotVersion);
   put_u64(out, payload.size());
-  put_u64(out, fnv1a(payload.data(), payload.size()));
+  put_u64(out, io::fnv1a(payload, kSnapshotChecksumSeed));
   out += payload;
   return out;
 }
@@ -193,7 +294,8 @@ PinSnapshot decode_snapshot(const std::string& blob) {
     throw std::runtime_error("snapshot: payload size mismatch");
   }
   const char* payload = blob.data() + kHeader;
-  if (fnv1a(payload, static_cast<std::size_t>(declared)) != checksum) {
+  if (io::fnv1a(std::string_view(payload, static_cast<std::size_t>(declared)),
+                kSnapshotChecksumSeed) != checksum) {
     throw std::runtime_error("snapshot: checksum mismatch");
   }
 
@@ -282,6 +384,74 @@ PinSnapshot decode_snapshot(const std::string& blob) {
 
   if (!r.done()) throw std::runtime_error("snapshot: trailing bytes");
   return snap;
+}
+
+std::uint64_t save_snapshot(const std::string& dir, const std::string& name,
+                            const PinnedSession& pin) {
+  if (name.empty() || name.front() == '.' ||
+      name.find('/') != std::string::npos ||
+      name.find('\\') != std::string::npos) {
+    throw std::runtime_error("SAVE name must be a plain file name");
+  }
+  const std::string blob = encode_snapshot(compact(pin));
+  const fs::path root(dir);
+  std::error_code ec;
+  fs::create_directories(root, ec);  // best effort; the open below reports
+  const fs::path tmp = root / (name + ".tmp");
+  // The blob reaches the disk before the rename makes it visible, and the
+  // rename itself is synced through the directory — never a
+  // renamed-but-empty file (a stray .tmp fails restore's decode).
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw std::runtime_error("cannot write snapshot file '" + tmp.string() +
+                               "'");
+    }
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    out.flush();
+    if (!out) {
+      throw std::runtime_error("short write to snapshot file '" +
+                               tmp.string() + "'");
+    }
+  }
+  sync_path(tmp, O_RDONLY);
+  fs::rename(tmp, root / name, ec);
+  if (ec) {
+    throw std::runtime_error("cannot publish snapshot file: " + ec.message());
+  }
+  sync_path(root, O_RDONLY | O_DIRECTORY);
+  return blob.size();
+}
+
+std::size_t restore_snapshots(const std::string& dir, PinRegistry& pins) {
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec);
+  if (ec) {
+    std::cerr << "gcr_serve: cannot read restore dir '" << dir
+              << "': " << ec.message() << "\n";
+    return 0;
+  }
+  std::size_t restored = 0;
+  for (const fs::directory_entry& entry : it) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::string path = entry.path().string();
+    try {
+      std::ifstream in(entry.path(), std::ios::binary);
+      if (!in) throw std::runtime_error("cannot open");
+      const std::string blob((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      if (pins.adopt(restore_pin(blob))) {
+        ++restored;
+      } else {
+        std::cerr << "gcr_serve: skipping snapshot '" << path
+                  << "': duplicate handle\n";
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "gcr_serve: skipping snapshot '" << path
+                << "': " << e.what() << "\n";
+    }
+  }
+  return restored;
 }
 
 }  // namespace gcr::serve

@@ -8,11 +8,13 @@
 
 #include "core/route_types.hpp"
 #include "geometry/geometry.hpp"
+#include "serve/pinned_session.hpp"
 #include "spatial/escape_lines.hpp"
 
 /// \file snapshot.hpp
-/// Versioned binary serialization of a pinned session — the durability half
-/// of the session lifecycle (SAVE / `--restore-dir`).
+/// Pin persistence (SAVE, the save sweep, `--restore-dir`): the versioned
+/// binary format, the compaction of a pin's live state into it, the
+/// durable file publish and the directory restore.
 ///
 /// A snapshot captures everything a restarted server needs to answer for a
 /// pin without re-deriving it: the layout text (round-trip exact), the
@@ -29,10 +31,16 @@
 /// magic    8 bytes  "GCRSNAP\n"
 /// version  u32      1
 /// size     u64      payload byte count (exactly the remaining bytes)
-/// checksum u64      FNV-1a 64 over the payload
+/// checksum u64      FNV-1a 64 over the payload, seeded with
+///                   kSnapshotChecksumSeed
 /// payload  …        fields in PinSnapshot order; strings are u64 length +
 ///                   bytes, maps/vectors are u64 count + entries
 /// ```
+///
+/// The checksum seed is not the standard FNV-1a offset basis
+/// (14695981039346656037) but that number with its last digit dropped.
+/// Every snapshot on disk was written with it, so it is part of the format:
+/// "correcting" it would make every existing file fail its checksum.
 ///
 /// Decoding is invalid-on-partial-read, mirroring the environment's
 /// UpdateGuard contract: any truncation, trailing garbage, checksum
@@ -47,6 +55,8 @@ namespace gcr::serve {
 inline constexpr char kSnapshotMagic[8] = {'G', 'C', 'R', 'S',
                                            'N', 'A', 'P', '\n'};
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// The header checksum's FNV-1a seed (see the format block).
+inline constexpr std::uint64_t kSnapshotChecksumSeed = 1469598103934665603ull;
 
 /// The serializable state of one pinned session.  `routes` entries carry
 /// ok/wirelength/segments — exactly what the route dump renders; per-
@@ -70,5 +80,20 @@ struct PinSnapshot {
 /// Parses and validates a blob.  Throws std::runtime_error on any
 /// corruption (see file comment); never returns a partial snapshot.
 [[nodiscard]] PinSnapshot decode_snapshot(const std::string& blob);
+
+/// Writes \p pin's compacted live state to `dir/name` durably: a `.tmp`
+/// file is written and fsync()ed, renamed over the target, and the rename
+/// is synced through the directory, so a crash leaves the old snapshot or
+/// the new one.  Returns the blob size.  Throws std::runtime_error with the
+/// reason: \p name is not a plain file name, the pin's tables are out of
+/// step, or the file system failed.  The caller holds the pin's ticket turn.
+std::uint64_t save_snapshot(const std::string& dir, const std::string& name,
+                            const PinnedSession& pin);
+
+/// Registers every decodable snapshot in \p dir with \p pins as an unowned
+/// pin.  An unreadable directory, a corrupt file or a duplicate handle is
+/// skipped with a stderr warning.  Rebuilds lookup tables only — never an
+/// environment.  Returns how many pins were registered.
+std::size_t restore_snapshots(const std::string& dir, PinRegistry& pins);
 
 }  // namespace gcr::serve

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "core/netlist_router.hpp"
+#include "io/fnv1a.hpp"
 #include "io/svg.hpp"
 #include "io/text_format.hpp"
 #include "workload/floorplan.hpp"
@@ -179,6 +181,18 @@ TEST(Svg, PolygonCellRendersDecomposition) {
   // Two decomposition rectangles plus the backdrop.
   EXPECT_GE(static_cast<int>(std::count(svg.begin(), svg.end(), '\n')), 4);
   EXPECT_NE(svg.find("ell"), std::string::npos);
+}
+
+TEST(Fnv1a, StandardVectors) {
+  // The published FNV-1a 64 vectors: session keys depend on the standard
+  // basis.
+  EXPECT_EQ(io::fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(io::fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(io::fnv1a("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(io::fnv1a("bar", io::fnv1a("foo")), io::fnv1a("foobar"));
+  EXPECT_EQ(io::fnv1a_u64(0x61, io::kFnv1aBasis),
+            io::fnv1a(std::string_view("a\0\0\0\0\0\0\0", 8)));
+  EXPECT_EQ(io::hex16(0xaf63dc4c8601ec8cull), "af63dc4c8601ec8c");
 }
 
 }  // namespace

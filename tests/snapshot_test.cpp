@@ -12,13 +12,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/search_environment.hpp"
+#include "io/fnv1a.hpp"
 #include "io/text_format.hpp"
 #include "serve/protocol.hpp"
 #include "serve/routing_service.hpp"
@@ -198,6 +201,28 @@ TEST(SnapshotCodec, TruncationAndCorruptionRejected) {
   bad_version[8] ^= 0x7f;
   EXPECT_NE(decode_error(bad_version).find("unsupported version"),
             std::string::npos);
+}
+
+TEST(SnapshotFormat, HeaderChecksumKnownVector) {
+  // Pins the checksum seed.  Every snapshot on disk was written with the
+  // truncated offset basis, so switching to the standard one must fail
+  // here rather than orphan those files.
+  serve::PinSnapshot snap;
+  snap.handle = kFirstHandle;
+  snap.base_key = "0123456789abcdef";
+  snap.layout_text = "boundary 0 0 64 64\n";
+  snap.boundary = geom::Rect{0, 0, 64, 64};
+  const std::string blob = serve::encode_snapshot(snap);
+  ASSERT_EQ(blob.size(), 28u + 151u);
+  std::uint64_t sum = 0;
+  for (int i = 0; i < 8; ++i) {
+    sum |= static_cast<std::uint64_t>(static_cast<unsigned char>(blob[20 + i]))
+           << (8 * i);
+  }
+  EXPECT_EQ(sum, 0x68d268eb4544d41full);
+  const std::string_view payload = std::string_view(blob).substr(28);
+  EXPECT_EQ(sum, io::fnv1a(payload, serve::kSnapshotChecksumSeed));
+  EXPECT_NE(sum, io::fnv1a(payload));
 }
 
 // ---------------------------------------------------------------- restore
@@ -559,7 +584,7 @@ TEST(FinalSave, RidesTicketChainSoInFlightMutationsLandInSnapshot) {
     commit_done.store(true);
   });
 
-  EXPECT_EQ(service.final_save_pins(), 1u);
+  EXPECT_EQ(service.save_pins(), 1u);
   // The ticket chain orders the *mutation* before the save; the response
   // callback fires just after finish_turn, so give it a beat.
   for (int i = 0; i < 5000 && !commit_done.load(); ++i) {
@@ -620,7 +645,7 @@ TEST(FinalSave, NonPreservingReleaseStillDestroysPins) {
 
   service.release_pins(owner);
   EXPECT_EQ(service.snapshot().pins_active, 0u);
-  EXPECT_EQ(service.final_save_pins(), 0u);  // no dir, nothing registered
+  EXPECT_EQ(service.save_pins(), 0u);  // no dir, nothing registered
 }
 
 TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
@@ -641,9 +666,9 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
   const serve::PinResponse pinned = service.pin_op(std::move(pin));
   ASSERT_TRUE(pinned.ok()) << pinned.error;
 
-  // The sweep runs every second and snapshots pins it does NOT own (the
-  // system bypass); the artifact is named by handle, ready for
-  // --restore-dir.
+  // The sweep runs every second on the sweeper thread and snapshots pins it
+  // does NOT own, without an ownership check; the artifact is named by
+  // handle, ready for --restore-dir.
   const fs::path file = dir.path / pinned.handle;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
@@ -665,6 +690,124 @@ TEST(FinalSave, PeriodicAutosaveSweepsHotPins) {
   std::stringstream blob;
   blob << is.rdbuf();
   EXPECT_EQ(serve::decode_snapshot(blob.str()).handle, pinned.handle);
+}
+
+TEST(FinalSave, AutosaveLandsWhileJobQueueIsFull) {
+  // One worker, one queue slot: the worker is parked inside an OPTIMIZE
+  // progress hook and a filler ROUTE takes the only slot.  The sweep never
+  // enters the job queue, so the pin is still saved, and it counts as no
+  // pin op and no pin-verb latency sample.
+  TempDir dir;
+  const std::string text = workload_text(9, 12, 7);
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  opts.queue_capacity = 1;
+  opts.snapshot_dir = dir.path.string();
+  opts.snapshot_interval_s = 1;
+  serve::RoutingService service(opts);
+  const auto session = service.load(text);
+  const auto owner = make_owner();
+
+  serve::PinRequest derive;
+  derive.op = serve::PinRequest::Op::kPin;
+  derive.key = session->key;
+  derive.owner = owner;
+  const serve::PinResponse pinned = service.pin_op(std::move(derive));
+  ASSERT_TRUE(pinned.ok()) << pinned.error;
+
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::atomic<bool> first_pass{true};
+  std::promise<serve::Response> optimized;
+  serve::RouteRequest opt;
+  opt.session_key = session->key;
+  opt.optimize = true;
+  opt.progress = [&](const route::OptimizePassStats&) {
+    if (!first_pass.exchange(false)) return;
+    parked.set_value();
+    latch.wait();
+  };
+  service.submit(std::move(opt), [&](serve::Response r) {
+    optimized.set_value(std::move(r));
+  });
+  parked.get_future().wait();
+  std::promise<serve::Response> filled;
+  serve::RouteRequest filler;
+  filler.session_key = session->key;
+  service.submit(std::move(filler), [&](serve::Response r) {
+    filled.set_value(std::move(r));
+  });
+
+  // Only a save made while the queue is full counts: drop anything an
+  // earlier sweep wrote.
+  const fs::path file = dir.path / pinned.handle;
+  std::error_code ec;
+  fs::remove(file, ec);
+  const serve::MetricsSnapshot before = service.snapshot();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!fs::exists(file) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const bool saved = fs::exists(file);
+  const serve::MetricsSnapshot after = service.snapshot();
+  release.set_value();
+  EXPECT_TRUE(optimized.get_future().get().ok());
+  EXPECT_TRUE(filled.get_future().get().ok());
+
+  ASSERT_TRUE(saved) << "no autosave while the job queue was full";
+  EXPECT_EQ(after.pin_ops_ok, before.pin_ops_ok);
+  EXPECT_EQ(after.pin_ops_failed, before.pin_ops_failed);
+  const auto pin_verb = static_cast<std::size_t>(serve::VerbKind::kPin);
+  EXPECT_EQ(after.verbs[pin_verb].count, before.verbs[pin_verb].count);
+}
+
+TEST(FinalSave, PinReleasedBeforeItsTurnIsNotWritten) {
+  TempDir dir;
+  const std::string text = workload_text(9, 12, 21);
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  opts.snapshot_dir = dir.path.string();
+  serve::RoutingService service(opts);
+  const auto session = service.load(text);
+  const auto owner = make_owner();
+
+  serve::PinRequest derive;
+  derive.op = serve::PinRequest::Op::kPin;
+  derive.key = session->key;
+  derive.owner = owner;
+  const serve::PinResponse pinned = service.pin_op(std::move(derive));
+  ASSERT_TRUE(pinned.ok()) << pinned.error;
+  const std::shared_ptr<serve::PinnedSession> pin =
+      service.pins().find(pinned.handle);
+  ASSERT_NE(pin, nullptr);
+
+  // Hold the pin's turn, then start the sweep: it lists the pin and queues
+  // behind the held ticket.
+  const std::uint64_t held = pin->acquire_ticket();
+  pin->wait_turn(held);
+  std::size_t written = 99;
+  std::thread sweeper([&] { written = service.save_pins(); });
+  // The sweep has taken its ticket once a probe ticket skips a number.
+  // Each probe is aborted, so the chain passes over it.
+  for (std::uint64_t last = held;;) {
+    const std::uint64_t probe = pin->acquire_ticket();
+    pin->abort_turn(probe);
+    if (probe > last + 1) break;
+    last = probe;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  service.release_pins(owner);  // a disconnect outside a drain
+  EXPECT_EQ(service.snapshot().pins_active, 0u);
+  pin->finish_turn(held);
+  sweeper.join();
+
+  EXPECT_EQ(written, 0u);
+  EXPECT_FALSE(fs::exists(dir.path / pinned.handle))
+      << "a released pin was saved and would come back on restore";
+  EXPECT_EQ(service.snapshot().pin_autosaves, 0u);
 }
 
 }  // namespace
