@@ -288,18 +288,10 @@ NetlistResult NetlistRouter::route_sequential(
 
   const auto route_one = [&](std::size_t i) {
     const SteinerNetRouter net_router(env.index(), env.lines(), cost_);
-    // A net whose pins are swallowed by earlier wires' halos cannot route.
-    bool pins_ok = true;
-    for (const auto& pins :
-         net_terminal_pins(layout_, layout_.nets()[i])) {
-      for (const geom::Point& p : pins) {
-        if (!env.index().routable(p)) pins_ok = false;
-      }
-    }
-    NetRoute nr;
-    if (pins_ok) {
-      nr = net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
-    }
+    // A net whose pins are swallowed by earlier wires' halos fails inside
+    // route_net without a search.
+    NetRoute nr =
+        net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
     if (nr.ok) {
       env.commit_route(i, nr.segments, opts.wire_halo);
     }

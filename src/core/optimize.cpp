@@ -97,18 +97,9 @@ OptimizeReport Optimizer::run(const OptimizeOptions& opts) const {
 
   const auto route_one = [&](std::size_t i, const CostModel* cost) {
     const SteinerNetRouter net_router(env.index(), env.lines(), cost);
-    // A net whose pins are swallowed by other wires' halos cannot route.
-    bool pins_ok = true;
-    for (const auto& pins : net_terminal_pins(layout_, layout_.nets()[i])) {
-      for (const geom::Point& p : pins) {
-        if (!env.index().routable(p)) pins_ok = false;
-      }
-    }
-    NetRoute nr;
-    if (pins_ok) {
-      nr = net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
-    }
-    return nr;
+    // A net whose pins are swallowed by other wires' halos fails inside
+    // route_net without a search.
+    return net_router.route_net(layout_, layout_.nets()[i], opts.steiner);
   };
 
   // ---------------------------------------- pass 1: full sequential route

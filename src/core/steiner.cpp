@@ -70,6 +70,11 @@ NetRoute SteinerNetRouter::route_terminals(
   if (terminals.empty()) return out;
   for (const auto& pins : terminals) {
     if (pins.empty()) return out;  // a pinless terminal is unroutable
+    // A pin inside an obstacle (a cell, or a committed wire's halo in the
+    // sequential model) cannot be reached: the net fails without a search.
+    for (const Point& p : pins) {
+      if (!router_.obstacles().routable(p)) return out;
+    }
   }
 
   // Seed the tree with the first terminal's pins (all of them: a multi-pin

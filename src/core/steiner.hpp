@@ -41,7 +41,10 @@ class SteinerNetRouter {
   /// Routes a net given its terminals as pin-position lists.  The first
   /// terminal seeds the tree; terminals then join in cheapest-connection
   /// order.  On failure (some terminal unreachable) `ok` is false and the
-  /// partial tree is returned.
+  /// partial tree is returned.  This is the one pin-access rule every
+  /// driver shares: when any pin of any terminal is not routable (inside a
+  /// cell, or swallowed by a committed wire's halo) the net fails before
+  /// any search, with an empty tree and zero statistics.
   [[nodiscard]] NetRoute route_terminals(
       const std::vector<std::vector<geom::Point>>& terminals,
       const SteinerOptions& opts = {}) const;

@@ -16,29 +16,20 @@ void PinnedSession::wait_turn(std::uint64_t ticket) {
 
 void PinnedSession::advance_locked() {
   // Skip over tickets whose jobs never reached a worker.
-  while (!aborted_.empty() && *aborted_.begin() == current_) {
-    aborted_.erase(aborted_.begin());
+  while (!ended_early_.empty() && *ended_early_.begin() == current_) {
+    ended_early_.erase(ended_early_.begin());
     ++current_;
   }
 }
 
-void PinnedSession::finish_turn(std::uint64_t ticket) {
-  const std::lock_guard<std::mutex> lock(turn_mu_);
-  if (current_ == ticket) {
-    ++current_;
-    advance_locked();
-    turn_cv_.notify_all();
-  }
-}
-
-void PinnedSession::abort_turn(std::uint64_t ticket) {
+void PinnedSession::end_turn(std::uint64_t ticket) {
   const std::lock_guard<std::mutex> lock(turn_mu_);
   if (current_ == ticket) {
     ++current_;
     advance_locked();
     turn_cv_.notify_all();
   } else {
-    aborted_.insert(ticket);
+    ended_early_.insert(ticket);
   }
 }
 

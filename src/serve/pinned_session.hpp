@@ -75,21 +75,21 @@ struct PinnedSession {
         env(std::move(e)) {}
 
   /// FIFO op ordering (see file comment).  acquire_ticket on the admission
-  /// thread; the worker brackets the op with wait_turn/finish_turn; a job
-  /// that never reaches a worker (queue rejection) must abort_turn so the
-  /// chain keeps advancing.
+  /// thread; the worker brackets the op with wait_turn/end_turn.  A job
+  /// that never reaches a worker (queue rejection) must end_turn too, so
+  /// the chain keeps advancing: a ticket ended before its turn is skipped
+  /// when the chain reaches it.
   [[nodiscard]] std::uint64_t acquire_ticket();
   void wait_turn(std::uint64_t ticket);
-  void finish_turn(std::uint64_t ticket);
-  void abort_turn(std::uint64_t ticket);
+  void end_turn(std::uint64_t ticket);
 
  private:
   std::mutex turn_mu_;
   std::condition_variable turn_cv_;
   std::uint64_t next_ticket_ = 0;
   std::uint64_t current_ = 0;
-  /// Tickets aborted while not yet current; drained as current_ advances.
-  std::set<std::uint64_t> aborted_;
+  /// Tickets ended while not yet current; drained as current_ advances.
+  std::set<std::uint64_t> ended_early_;
 
   void advance_locked();
 };

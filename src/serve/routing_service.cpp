@@ -293,7 +293,7 @@ bool RoutingService::prepare(Job& job, PinRequest&& req) {
   // `pin` keeps its state alive if it is released while this job queues.
   job.reject = [this, pin, ticket](RouteStatus) {
     metrics_.pin_ops_failed.fetch_add(1, std::memory_order_relaxed);
-    if (pin != nullptr) pin->abort_turn(ticket);
+    if (pin != nullptr) pin->end_turn(ticket);
   };
   job.run = [this, req = std::move(req), pin, ticket, base = std::move(base)](
                 Job& j, Response& resp) {
@@ -302,7 +302,7 @@ bool RoutingService::prepare(Job& job, PinRequest&& req) {
     } else {
       pin->wait_turn(ticket);
       run_pin_op(req, pin, resp);
-      pin->finish_turn(ticket);
+      pin->end_turn(ticket);
     }
     j.trace.exec_us = j.elapsed_us();
     (resp.ok() ? metrics_.pin_ops_ok : metrics_.pin_ops_failed)
@@ -341,7 +341,7 @@ std::size_t RoutingService::save_pins() {
       std::cerr << "gcr_serve: save of '" << pin->handle
                 << "' failed: " << e.what() << "\n";
     }
-    pin->finish_turn(ticket);
+    pin->end_turn(ticket);
   }
   return written;
 }

@@ -9,8 +9,11 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "io/fnv1a.hpp"
@@ -431,24 +434,51 @@ std::size_t restore_snapshots(const std::string& dir, PinRegistry& pins) {
               << "': " << ec.message() << "\n";
     return 0;
   }
-  std::size_t restored = 0;
+  // Decode every file first and keep the newest per handle: the directory
+  // iterator's order is arbitrary, so adopting the first file seen would
+  // let an older SAVE shadow a newer one.  Equal times fall back to the
+  // path, so the choice never depends on the iteration order.
+  struct Candidate {
+    fs::file_time_type mtime;
+    std::string path;
+    std::shared_ptr<PinnedSession> pin;
+  };
+  std::map<std::string, Candidate> newest;
   for (const fs::directory_entry& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
-    const std::string path = entry.path().string();
+    Candidate c{{}, entry.path().string(), nullptr};
     try {
+      c.mtime = entry.last_write_time();
       std::ifstream in(entry.path(), std::ios::binary);
       if (!in) throw std::runtime_error("cannot open");
       const std::string blob((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-      if (pins.adopt(restore_pin(blob))) {
-        ++restored;
-      } else {
-        std::cerr << "gcr_serve: skipping snapshot '" << path
-                  << "': duplicate handle\n";
-      }
+      c.pin = restore_pin(blob);
     } catch (const std::exception& e) {
-      std::cerr << "gcr_serve: skipping snapshot '" << path
+      std::cerr << "gcr_serve: skipping snapshot '" << c.path
                 << "': " << e.what() << "\n";
+      continue;
+    }
+    const auto [slot, fresh] = newest.try_emplace(c.pin->handle);
+    Candidate& kept = slot->second;
+    if (!fresh) {
+      const bool newer =
+          std::tie(c.mtime, c.path) > std::tie(kept.mtime, kept.path);
+      const Candidate& older = newer ? kept : c;
+      std::cerr << "gcr_serve: skipping snapshot '" << older.path
+                << "': older than '" << (newer ? c : kept).path
+                << "' for handle '" << c.pin->handle << "'\n";
+      if (!newer) continue;
+    }
+    kept = std::move(c);
+  }
+  std::size_t restored = 0;
+  for (auto& [handle, c] : newest) {
+    if (pins.adopt(std::move(c.pin))) {
+      ++restored;
+    } else {
+      std::cerr << "gcr_serve: skipping snapshot '" << c.path
+                << "': duplicate handle\n";
     }
   }
   return restored;

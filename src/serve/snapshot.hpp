@@ -91,9 +91,11 @@ std::uint64_t save_snapshot(const std::string& dir, const std::string& name,
                             const PinnedSession& pin);
 
 /// Registers every decodable snapshot in \p dir with \p pins as an unowned
-/// pin.  An unreadable directory, a corrupt file or a duplicate handle is
-/// skipped with a stderr warning.  Rebuilds lookup tables only — never an
-/// environment.  Returns how many pins were registered.
+/// pin.  When several files carry one handle, the newest (last write time,
+/// then path) wins and the older ones are skipped with a stderr warning,
+/// as are an unreadable directory, a corrupt file and a handle already
+/// registered.  Rebuilds lookup tables only — never an environment.
+/// Returns how many pins were registered.
 std::size_t restore_snapshots(const std::string& dir, PinRegistry& pins);
 
 }  // namespace gcr::serve

@@ -100,6 +100,13 @@ std::shared_ptr<std::atomic<bool>> make_owner() {
   return std::make_shared<std::atomic<bool>>(false);
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 /// Drives LOAD + PIN + COMMIT(all nets) + SAVE through the service API and
 /// returns the snapshot file's bytes.
 std::string write_snapshot(const fs::path& dir, const std::string& text) {
@@ -135,10 +142,7 @@ std::string write_snapshot(const fs::path& dir, const std::string& text) {
   const serve::PinResponse saved = service.pin_op(std::move(save));
   EXPECT_TRUE(saved.ok()) << saved.error;
 
-  std::ifstream in(dir / "codec.snap", std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
+  return read_file(dir / "codec.snap");
 }
 
 /// decode_snapshot's error message, or "" when the blob decodes.
@@ -337,6 +341,54 @@ TEST(SnapshotRestore, CorruptOrTruncatedBlobLeavesSessionAbsent) {
   EXPECT_EQ(service.snapshot().pins_restored, 0u);
 }
 
+TEST(SnapshotRestore, NewestFileWinsForADuplicatedHandle) {
+  // One pin saved twice under different names: after one commit, then
+  // after three.  Both files carry the same handle.
+  TempDir saved;
+  const std::string text = workload_text(9, 12, 7);
+  const layout::Layout lay = workload::standard_workload(9, 512, 12, 7);
+  {
+    serve::RoutingService::Options opts;
+    opts.workers = 1;
+    opts.snapshot_dir = saved.path.string();
+    serve::RoutingService service(opts);
+    const std::string h(kFirstHandle);
+    const std::string script =
+        "LOAD " + std::to_string(text.size()) + "\n" + text + "PIN " +
+        serve::SessionCache::content_key(text) + "\nCOMMIT " + h +
+        " nets=" + lay.nets()[0].name() + "\nSAVE " + h + " one.snap\n" +
+        "COMMIT " + h + " nets=" + lay.nets()[1].name() + "," +
+        lay.nets()[2].name() + "\nSAVE " + h + " three.snap\nQUIT\n";
+    (void)run_on(service, script);
+  }
+  const std::string one = read_file(saved.path / "one.snap");
+  const std::string three = read_file(saved.path / "three.snap");
+  ASSERT_FALSE(one.empty());
+  ASSERT_FALSE(three.empty());
+
+  // Both name orders: the directory iterator's order must not decide.
+  for (const bool newer_sorts_first : {false, true}) {
+    TempDir dir;
+    const fs::path first = dir.path / "a.snap";
+    const fs::path second = dir.path / "b.snap";
+    const fs::path& older = newer_sorts_first ? second : first;
+    const fs::path& newer = newer_sorts_first ? first : second;
+    std::ofstream(older, std::ios::binary) << one;
+    std::ofstream(newer, std::ios::binary) << three;
+    const auto now = fs::file_time_type::clock::now();
+    fs::last_write_time(older, now - std::chrono::hours(1));
+    fs::last_write_time(newer, now);
+
+    serve::PinRegistry pins;
+    EXPECT_EQ(serve::restore_snapshots(dir.path.string(), pins), 1u);
+    const auto pin = pins.find(kFirstHandle);
+    ASSERT_NE(pin, nullptr);
+    EXPECT_EQ(pin->routes.size(), 3u)
+        << "the older snapshot shadowed the newer one (newer sorts "
+        << (newer_sorts_first ? "first" : "last") << ")";
+  }
+}
+
 // -------------------------------------------------------------- lifecycle
 
 TEST(PinProtocol, LifecycleOverTheWire) {
@@ -416,6 +468,85 @@ TEST(PinProtocol, DisconnectAutoReleases) {
   EXPECT_EQ(service.pins().size(), 0u)
       << "disconnect must auto-release owned pins";
   EXPECT_EQ(service.snapshot().pins_released, 1u);
+}
+
+/// "nets=a,b,…" naming every net of \p lay in netlist order.
+std::string all_nets(const layout::Layout& lay) {
+  std::string out = "nets=";
+  for (const auto& net : lay.nets()) {
+    if (out.size() > 5) out += ',';
+    out += net.name();
+  }
+  return out;
+}
+
+TEST(PinProtocol, CommitFailsSwallowedPinsWithoutSearch) {
+  // Committing all 40 nets in order buries most later nets' terminals under
+  // earlier nets' wire halos.  Those nets must fail without a search, as in
+  // route_sequential; an assert-enabled build used to abort here on
+  // "source must be routable".
+  const layout::Layout lay = workload::standard_workload(25, 640, 40, 1);
+  const std::string key =
+      serve::SessionCache::content_key(io::write_layout_string(lay));
+  serve::RoutingService::Options opts;
+  opts.workers = 1;
+  serve::RoutingService service(opts);
+  const std::string script =
+      "GEN standard seed=1 cells=25 extent=640 nets=40\nPIN " + key +
+      "\nCOMMIT " + kFirstHandle + " " + all_nets(lay) + "\nQUIT\n";
+  std::istringstream replies(run_on(service, script));
+
+  const Frame gen = next_frame(replies);
+  ASSERT_NE(gen.status.find("session=" + key), std::string::npos)
+      << gen.status;
+  const Frame pin = next_frame(replies);
+  ASSERT_EQ(pin.status.rfind("OK 0 ", 0), 0u) << pin.status;
+  const Frame commit = next_frame(replies);
+  ASSERT_EQ(commit.status.rfind("OK ", 0), 0u) << commit.status;
+  EXPECT_NE(commit.status.find(
+                " committed=40 routed=9 failed=31 wirelength=7442"),
+            std::string::npos)
+      << commit.status;
+}
+
+TEST(PinProtocol, CommitInNetlistOrderEqualsSequentialRoute) {
+  // The pin path and ROUTE mode=sequential share one pin-access rule, so
+  // committing every net in netlist order must answer the sequential dump
+  // byte for byte.
+  struct Shape {
+    std::size_t cells;
+    geom::Coord extent;
+    std::size_t nets;
+  };
+  for (const Shape shape : {Shape{25, 640, 40}, Shape{64, 1024, 96}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const layout::Layout lay = workload::standard_workload(
+          shape.cells, shape.extent, shape.nets, seed);
+      const std::string text = io::write_layout_string(lay);
+      const std::string key = serve::SessionCache::content_key(text);
+      serve::RoutingService::Options opts;
+      opts.workers = 1;
+      serve::RoutingService service(opts);
+      const std::string script =
+          "LOAD " + std::to_string(text.size()) + "\n" + text + "ROUTE " +
+          key + " mode=sequential\nPIN " + key + "\nCOMMIT " +
+          kFirstHandle + " " + all_nets(lay) + "\nQUIT\n";
+      std::istringstream replies(run_on(service, script));
+      const std::string where = std::to_string(shape.cells) + "/" +
+                                std::to_string(shape.nets) + " seed " +
+                                std::to_string(seed);
+
+      (void)next_frame(replies);  // LOAD
+      const Frame route = next_frame(replies);
+      ASSERT_EQ(route.status.rfind("OK ", 0), 0u) << where << route.status;
+      (void)next_frame(replies);  // PIN
+      const Frame commit = next_frame(replies);
+      ASSERT_EQ(commit.status.rfind("OK ", 0), 0u) << where << commit.status;
+      EXPECT_NE(route.body.find(" ok wirelength "), std::string::npos)
+          << where;
+      EXPECT_EQ(commit.body, route.body) << where;
+    }
+  }
 }
 
 TEST(PinRegistry, OwnershipGatesMutations) {
@@ -586,7 +717,7 @@ TEST(FinalSave, RidesTicketChainSoInFlightMutationsLandInSnapshot) {
 
   EXPECT_EQ(service.save_pins(), 1u);
   // The ticket chain orders the *mutation* before the save; the response
-  // callback fires just after finish_turn, so give it a beat.
+  // callback fires just after end_turn, so give it a beat.
   for (int i = 0; i < 5000 && !commit_done.load(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -790,10 +921,10 @@ TEST(FinalSave, PinReleasedBeforeItsTurnIsNotWritten) {
   std::size_t written = 99;
   std::thread sweeper([&] { written = service.save_pins(); });
   // The sweep has taken its ticket once a probe ticket skips a number.
-  // Each probe is aborted, so the chain passes over it.
+  // Each probe ends before its turn, so the chain passes over it.
   for (std::uint64_t last = held;;) {
     const std::uint64_t probe = pin->acquire_ticket();
-    pin->abort_turn(probe);
+    pin->end_turn(probe);
     if (probe > last + 1) break;
     last = probe;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -801,7 +932,7 @@ TEST(FinalSave, PinReleasedBeforeItsTurnIsNotWritten) {
 
   service.release_pins(owner);  // a disconnect outside a drain
   EXPECT_EQ(service.snapshot().pins_active, 0u);
-  pin->finish_turn(held);
+  pin->end_turn(held);
   sweeper.join();
 
   EXPECT_EQ(written, 0u);

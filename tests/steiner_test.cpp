@@ -138,6 +138,26 @@ TEST(Steiner, EmptyTerminalListNotOk) {
   EXPECT_FALSE(f.router.route_terminals({{{10, 10}}, {}}).ok);
 }
 
+TEST(Steiner, BlockedPinFailsWithoutSearch) {
+  // Any pin inside an obstacle fails the net before a search runs: the
+  // seed terminal's, a later terminal's, one pin of a multi-pin terminal,
+  // or the only pin of a single-terminal net.
+  const Fixture f(std::vector<Rect>{{40, 40, 60, 60}});
+  const std::vector<std::vector<std::vector<Point>>> cases = {
+      {{{50, 50}}, {{90, 90}}},
+      {{{10, 10}}, {{50, 50}}},
+      {{{10, 10}}, {{90, 90}, {45, 55}}},
+      {{{50, 50}}},
+  };
+  for (const auto& terminals : cases) {
+    const auto nr = f.router.route_terminals(terminals);
+    EXPECT_FALSE(nr.ok);
+    EXPECT_TRUE(nr.segments.empty());
+    EXPECT_TRUE(nr.connections.empty());
+    EXPECT_EQ(nr.stats.nodes_expanded, 0u);
+  }
+}
+
 TEST(Steiner, StatsAccumulateAcrossConnections) {
   const Fixture f;
   const auto nr = f.router.route_terminals(
